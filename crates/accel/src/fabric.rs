@@ -20,16 +20,16 @@
 //! compute phase early (or had no local work) park at the barrier; the gap
 //! is attributed to the `link_wait` class of
 //! [`PeCycleBreakdown`](crate::PeCycleBreakdown), which `repro explain`
-//! renders as the Link section.
+//! renders as the Link section. The iteration itself — active flags,
+//! convergence, buffer swap — is the shared [`IterationDriver`] loop; the
+//! fabric adds the barrier exchange at each of its boundaries.
 //!
 //! # Host threading
 //!
 //! Between barriers the device shards share no mutable state, so the
-//! compute phase of each global iteration runs them on up to
+//! driver runs each global iteration's compute phase on up to
 //! [`RunConfig::sim_threads`](crate::RunConfig) host worker threads
-//! ([`simkit::epoch::run_epoch`]): inputs are fixed at the epoch
-//! boundary, every stepped device runs its iteration to completion, and
-//! outcomes are collected into per-device slots and handled in ascending
+//! ([`simkit::epoch::run_epoch`]) and handles the outcomes in ascending
 //! device order. Everything that couples devices — the link exchange,
 //! fault injection, retransmission, checkpoint/rollback, and stats/trace
 //! merging — stays single-threaded in fixed device order. Every
@@ -92,12 +92,13 @@ use simkit::watchdog::{DiagnosticSection, DiagnosticSnapshot};
 use simkit::{Cycle, FaultConfig, FaultInjector, Fifo, Stats, Watchdog};
 
 use crate::checkpoint::{
-    Checkpoint, CheckpointStore, RecoveryAttempt, RecoveryCause, RecoveryConfig, RecoveryReport,
+    CheckpointStore, RecoveryAttempt, RecoveryCause, RecoveryConfig, RecoveryReport,
 };
 use crate::config::{ExecutionMode, SystemConfig, DEFAULT_WATCHDOG_CYCLES};
+use crate::iteration::{IterationDriver, Step, StepError};
 use crate::pe::PeCycleBreakdown;
 use crate::run_config::RunConfig;
-use crate::system::{RunError, System};
+use crate::system::System;
 
 /// How the devices are wired together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -568,8 +569,8 @@ pub struct Fabric {
     /// Host-side mirror of the globally consistent `V_in` values; the
     /// per-iteration diff against it yields the remote updates.
     mirror: Vec<u32>,
-    qs: usize,
-    max_iter: u32,
+    /// Template-1 control state shared by every shard.
+    driver: IterationDriver,
     fault: FaultInjector<LinkMessage>,
     /// Drops accumulated by fault injectors replaced on rollback.
     dropped_carried: u64,
@@ -631,8 +632,7 @@ impl Fabric {
         let mirror: Vec<u32> = (0..g.num_nodes())
             .map(|v| devices[0].read_node_in(v))
             .collect();
-        let qs = devices[0].num_source_intervals();
-        let max_iter = devices[0].resolved_max_iterations();
+        let driver = IterationDriver::new(&devices);
         let links = Self::build_links(n, &rc.link, &rc.trace);
         // Floor the rto at two worst-case round-trips so congested (not
         // lossy) links don't retransmit spuriously: a full chunk
@@ -649,8 +649,7 @@ impl Fabric {
             .max(1);
         let rto_base = retry.rto.max(2 * hops * (ser + rc.link.latency) + 64);
         Fabric {
-            qs,
-            max_iter,
+            driver,
             devices,
             map,
             algo,
@@ -775,126 +774,31 @@ impl Fabric {
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<FabricRunResult, FabricError> {
-        let n = self.devices.len();
-        let mut active = vec![true; self.qs];
-        let mut iterations = 0u32;
-        let mut edges_per_device = vec![0u64; n];
-        let mut stepped = vec![false; n];
-
         // Implicit initial checkpoint: a failure in the very first
         // iterations still has somewhere to roll back to.
         if self.recovery.is_some() {
-            self.save_checkpoint(0, 0, &active, &edges_per_device);
+            self.save_checkpoint(0);
         }
 
-        'iterations: while iterations < self.max_iter {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(FabricError::TimedOut);
-                }
-            }
-            // Compute phase: every device publishes the same global active
-            // flags, schedules its local jobs, and runs its iteration
-            // unmodified. Devices share no state between barriers, so the
-            // epoch runs them on `sim_threads` workers; outcomes land in
-            // per-device slots and are handled below in ascending device
-            // order, which keeps every observable byte-identical to
-            // `sim_threads = 1` (the plain in-order loop). Every stepped
-            // device finishes its iteration before any stall is answered —
-            // rollback discards their state anyway, and processing the
-            // lowest-index stall first makes the recovery order
-            // independent of worker scheduling.
-            let mut total_jobs = 0usize;
-            for (i, dev) in self.devices.iter_mut().enumerate() {
-                let jobs = dev.begin_iteration(iterations, &active);
-                stepped[i] = jobs > 0;
-                total_jobs += jobs;
-            }
-            if total_jobs == 0 {
-                break;
-            }
-            let outcomes = {
-                let stepped = &stepped;
-                simkit::epoch::run_epoch(&mut self.devices, self.sim_threads, |i, dev| {
-                    stepped[i].then(|| dev.step_iteration(iterations, deadline))
-                })
-            };
-            let mut stall: Option<(usize, Box<DiagnosticSnapshot>)> = None;
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    None => {}
-                    Some(Ok(edges)) => edges_per_device[i] += edges,
-                    Some(Err(RunError::TimedOut)) => return Err(FabricError::TimedOut),
-                    // The lowest device index wins, matching the order the
-                    // sequential loop would have surfaced the stall in.
-                    Some(Err(RunError::Stalled(snapshot))) if stall.is_none() => {
-                        stall = Some((i, snapshot));
-                    }
-                    Some(Err(RunError::Stalled(_))) => {}
-                }
-            }
-            if let Some((device, snapshot)) = stall {
-                let err = FabricError::DeviceStalled { device, snapshot };
-                self.recover(err, &mut active, &mut iterations, &mut edges_per_device)?;
-                continue 'iterations;
-            }
-            iterations += 1;
-
-            // Global Template-1 control: OR over the devices that ran.
-            let cont = self.algo.always_active()
-                || (0..n).any(|i| stepped[i] && self.devices[i].continues());
-            if !cont || iterations >= self.max_iter {
-                break;
-            }
-            let mut next = vec![self.algo.always_active(); self.qs];
-            if !self.algo.always_active() {
-                for (dev, &ran) in self.devices.iter().zip(&stepped) {
-                    if !ran {
-                        continue;
-                    }
-                    for (f, d) in next.iter_mut().zip(dev.next_active_srcs()) {
-                        *f |= d;
-                    }
-                }
-            }
-
-            // Every device performs the synchronous inter-iteration host
-            // work on its own replica (carry + buffer swap), exactly as
-            // the single-device loop does.
-            for dev in &mut self.devices {
-                dev.advance_synchronous_frontier();
-            }
-
-            // Diff each owner's slice against the global mirror to find
-            // the remote updates this iteration produced.
-            let updates = self.collect_updates();
-
-            // Barrier + link exchange: devices park at the barrier while
-            // the network carries the updates to every consumer replica.
-            let barrier = self.devices.iter().map(System::now).max().unwrap_or(0);
-            let exchange = match self.exchange(barrier, updates, deadline) {
-                Ok(exchange) => exchange,
-                Err(FabricError::TimedOut) => return Err(FabricError::TimedOut),
-                Err(err) => {
-                    self.recover(err, &mut active, &mut iterations, &mut edges_per_device)?;
-                    continue 'iterations;
+        loop {
+            // Compute phase: the driver runs every shard's iteration
+            // unmodified, on `sim_threads` workers, and decides whether
+            // another one follows.
+            let err = match self
+                .driver
+                .step(&mut self.devices, self.sim_threads, deadline)
+            {
+                Ok(Step::Finished) => break,
+                Ok(Step::Boundary) => match self.barrier_exchange(deadline) {
+                    Ok(()) => continue,
+                    Err(err) => err,
+                },
+                Err(StepError::TimedOut) => FabricError::TimedOut,
+                Err(StepError::Stalled { device, snapshot }) => {
+                    FabricError::DeviceStalled { device, snapshot }
                 }
             };
-            self.exchange_cycles += exchange;
-            let resume = barrier + exchange;
-            for dev in &mut self.devices {
-                dev.wait_at_barrier(resume);
-            }
-
-            active = next;
-
-            // Barrier checkpoint: mirror and replicas are globally
-            // consistent here, so this is a complete recovery point.
-            if let Some(rec) = self.recovery {
-                if iterations.is_multiple_of(rec.checkpoint_interval.max(1)) {
-                    self.save_checkpoint(iterations, resume, &active, &edges_per_device);
-                }
-            }
+            self.recover(err)?;
         }
 
         // Final barrier: align every device clock so `cycles` is the
@@ -903,35 +807,54 @@ impl Fabric {
         for dev in &mut self.devices {
             dev.wait_at_barrier(end);
         }
-        Ok(self.finish(iterations, &edges_per_device))
+        Ok(self.finish())
     }
 
-    /// Snapshots the globally consistent barrier state.
-    fn save_checkpoint(&mut self, iteration: u32, cycle: Cycle, active: &[bool], edges: &[u64]) {
-        self.store.save(Checkpoint {
-            iteration,
-            cycle,
-            values: self.mirror.clone(),
-            active: active.to_vec(),
-            edges: edges.to_vec(),
-        });
-        self.report.checkpoints_taken += 1;
+    /// Barrier work between two iterations: diff each owner's slice
+    /// against the global mirror, carry the remote updates over the link
+    /// network while the devices park, and take the periodic checkpoint.
+    fn barrier_exchange(&mut self, deadline: Option<Instant>) -> Result<(), FabricError> {
+        let updates = self.collect_updates();
+        let barrier = self.devices.iter().map(System::now).max().unwrap_or(0);
+        let exchange = self.exchange(barrier, updates, deadline)?;
+        self.exchange_cycles += exchange;
+        let resume = barrier + exchange;
+        for dev in &mut self.devices {
+            dev.wait_at_barrier(resume);
+        }
+        // Mirror and replicas are globally consistent here, so this is a
+        // complete recovery point.
+        let interval = self.recovery.map(|r| r.checkpoint_interval.max(1));
+        if interval.is_some_and(|n| self.driver.iteration().is_multiple_of(n)) {
+            self.save_checkpoint(resume);
+        }
+        Ok(())
+    }
+
+    /// Snapshots the globally consistent barrier state, resuming at
+    /// `cycle`.
+    fn save_checkpoint(&mut self, cycle: Cycle) {
+        let ckpt = self.driver.checkpoint(self.mirror.clone(), cycle);
         self.tracer
-            .event(cycle, EventKind::CheckpointSave, iteration as u64);
+            .event(cycle, EventKind::CheckpointSave, ckpt.iteration as u64);
+        self.store.save(ckpt);
+        self.report.checkpoints_taken += 1;
     }
 
     /// Answers a watchdog trip: rolls every shard back to the newest
     /// checkpoint, resets the link protocol (queues, flows, and the fault
     /// injector — a link reset also re-arms a black-holed link's grace
     /// window), and charges `reset_cycles` of downtime. Returns the
-    /// original error when recovery is off, exhausted, or impossible.
-    fn recover(
-        &mut self,
-        err: FabricError,
-        active: &mut Vec<bool>,
-        iterations: &mut u32,
-        edges: &mut [u64],
-    ) -> Result<(), FabricError> {
+    /// original error for a timeout, or when recovery is off, exhausted,
+    /// or impossible (including a checkpoint that does not fit).
+    fn recover(&mut self, err: FabricError) -> Result<(), FabricError> {
+        let cause = match &err {
+            FabricError::DeviceStalled { device, .. } => {
+                RecoveryCause::DeviceStalled { device: *device }
+            }
+            FabricError::LinkStalled(_) => RecoveryCause::LinkStalled,
+            FabricError::TimedOut => return Err(err),
+        };
         let Some(rec) = self.recovery else {
             return Err(err);
         };
@@ -941,41 +864,31 @@ impl Fabric {
         let Some(ckpt) = self.store.latest().cloned() else {
             return Err(err);
         };
-        let cause = match &err {
-            FabricError::DeviceStalled { device, .. } => {
-                RecoveryCause::DeviceStalled { device: *device }
-            }
-            FabricError::LinkStalled(_) => RecoveryCause::LinkStalled,
-            FabricError::TimedOut => return Err(err),
-        };
         let crash = self.devices.iter().map(System::now).max().unwrap_or(0);
         let resume = crash + rec.reset_cycles;
 
-        match cause {
-            RecoveryCause::DeviceStalled { .. } => {
-                // The stalled device is wedged mid-iteration and its peers
-                // hold partially advanced state: rebuild every shard from
-                // the graph and reload the checkpointed values.
-                self.rebuild_devices(&ckpt, resume);
-            }
-            RecoveryCause::LinkStalled => {
-                // Devices are parked at the barrier with clean pipelines;
-                // reloading `V_in` is sufficient (the MOMS caches are a
-                // timing model — data is read from the image at response
-                // time, so no invalidation is needed).
-                for dev in &mut self.devices {
-                    for (v, &val) in ckpt.values.iter().enumerate() {
-                        dev.write_node_in(v as u32, val);
-                    }
-                    dev.wait_at_barrier(resume);
-                }
+        // A stalled device is wedged mid-iteration and its peers hold
+        // partially advanced state: rebuild every shard from the graph. A
+        // link stall leaves the devices parked at the barrier with clean
+        // pipelines, so reloading `V_in` is sufficient (the MOMS caches
+        // are a timing model — data is read from the image at response
+        // time, so no invalidation is needed).
+        let rebuilt = matches!(cause, RecoveryCause::DeviceStalled { .. });
+        if rebuilt {
+            self.rebuild_devices();
+        }
+        if self.driver.restore(&mut self.devices, &ckpt).is_err() {
+            return Err(err);
+        }
+        for dev in &mut self.devices {
+            if rebuilt {
+                dev.align_clock(resume);
+            } else {
+                dev.wait_at_barrier(resume);
             }
         }
 
         self.mirror.copy_from_slice(&ckpt.values);
-        *active = ckpt.active.clone();
-        *iterations = ckpt.iteration;
-        edges.copy_from_slice(&ckpt.edges);
         self.reset_network();
         self.tracer
             .event(resume, EventKind::Rollback, ckpt.iteration as u64);
@@ -990,9 +903,9 @@ impl Fabric {
         Ok(())
     }
 
-    /// Replaces every device with a freshly built shard loaded from
-    /// `ckpt`, harvesting the torn-down devices' statistics first.
-    fn rebuild_devices(&mut self, ckpt: &Checkpoint, resume: Cycle) {
+    /// Replaces every device with a freshly built shard, harvesting the
+    /// torn-down devices' statistics first.
+    fn rebuild_devices(&mut self) {
         for dev in &mut self.devices {
             let r = dev.finish(0, 0);
             self.carried_stats.merge(&r.stats);
@@ -1012,12 +925,6 @@ impl Fabric {
                 System::new_sharded(g, &local, partitioner, algo, cfg.clone())
             })
             .collect();
-        for dev in &mut self.devices {
-            for (v, &val) in ckpt.values.iter().enumerate() {
-                dev.write_node_in(v as u32, val);
-            }
-            dev.align_clock(resume);
-        }
     }
 
     /// Clears every link queue, resets all flow protocol state, and
@@ -1446,8 +1353,10 @@ impl Fabric {
     }
 
     /// Assembles the fabric result from every device's finished state.
-    fn finish(&mut self, iterations: u32, edges_per_device: &[u64]) -> FabricRunResult {
+    fn finish(&mut self) -> FabricRunResult {
         let n = self.devices.len();
+        let iterations = self.driver.iteration();
+        let edges_per_device = self.driver.edges();
         let cycles = self.devices.iter().map(System::now).max().unwrap_or(0);
         let mut values = vec![0u32; self.mirror.len()];
         let mut stats = Stats::new();

@@ -41,6 +41,7 @@ pub mod config;
 pub mod driver;
 pub mod fabric;
 pub mod fuzz;
+pub mod iteration;
 pub mod pe;
 pub mod run_config;
 pub mod system;

@@ -1,7 +1,8 @@
 //! Top-level accelerator (Fig. 6): scheduler, PEs, MOMS, DRAM, and the
-//! Template 1 iteration loop.
+//! per-iteration steps that [`crate::iteration`] sequences into Template 1.
 
 use std::collections::VecDeque;
+use std::slice;
 use std::time::Instant;
 
 use simkit::stats::TimeBuckets;
@@ -18,6 +19,7 @@ use graph::{CooGraph, GraphImage, Partitioner};
 use moms::{MomsSnapshot, MomsSystem};
 
 use crate::config::{ExecutionMode, SystemConfig};
+use crate::iteration::{IterationDriver, Step};
 use crate::pe::{Job, Pe, PeCycleBreakdown};
 
 /// Events shown in the watchdog snapshot's `trace-tail` section.
@@ -446,32 +448,14 @@ impl System {
         }
     }
 
-    /// Runs Template 1 to completion, giving up when the host wall clock
-    /// passes `deadline`.
-    ///
-    /// Returns `None` on timeout. The check is cooperative — the simulation
-    /// loop polls the clock every few tens of thousands of cycles — so no
-    /// watchdog threads are involved and a timed-out `System` is simply
-    /// dropped. After a timeout the partially simulated state is
-    /// inconsistent; do not call `run` again on the same instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the rendered [`DiagnosticSnapshot`] if the no-progress
-    /// watchdog trips.
-    pub fn run_with_deadline(&mut self, deadline: Option<Instant>) -> Option<RunResult> {
-        match self.run_to_outcome(deadline) {
-            Ok(r) => Some(r),
-            Err(RunError::TimedOut) => None,
-            Err(RunError::Stalled(snap)) => panic!("{snap}"),
-        }
-    }
-
     /// Runs Template 1 to completion, reporting timeouts and watchdog
-    /// stalls as structured [`RunError`]s instead of panicking.
+    /// stalls as structured [`RunError`]s instead of panicking: the
+    /// one-device case of [`IterationDriver`], stepped until it finishes.
     ///
-    /// After any `Err` the partially simulated state is inconsistent; do
-    /// not run the same instance again.
+    /// The deadline check is cooperative — the simulation loop polls the
+    /// clock every few tens of thousands of cycles — so no watchdog
+    /// threads are involved. After any `Err` the partially simulated
+    /// state is inconsistent; do not run the same instance again.
     ///
     /// # Errors
     ///
@@ -479,33 +463,9 @@ impl System {
     /// [`RunError::Stalled`] when no request retires for the configured
     /// watchdog threshold.
     pub fn run_to_outcome(&mut self, deadline: Option<Instant>) -> Result<RunResult, RunError> {
-        let max_iter = self.resolved_max_iterations();
-        let mut active_srcs = vec![true; self.gi.qs()];
-        let mut iterations = 0u32;
-        let mut edges_total = 0u64;
-
-        while iterations < max_iter {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(RunError::TimedOut);
-                }
-            }
-            if self.begin_iteration(iterations, &active_srcs) == 0 {
-                break;
-            }
-            edges_total += self.step_iteration(iterations, deadline)?;
-            iterations += 1;
-
-            if !self.continues() {
-                break;
-            }
-            active_srcs = self.next_active_srcs();
-            if self.gi.is_synchronous() && iterations < max_iter {
-                self.advance_synchronous_frontier();
-            }
-        }
-
-        Ok(self.finish(iterations, edges_total))
+        let mut driver = IterationDriver::new(slice::from_ref(self));
+        while driver.step(slice::from_mut(self), 1, deadline)? == Step::Boundary {}
+        Ok(self.finish(driver.iteration(), driver.edges()[0]))
     }
 
     /// The iteration cap this run resolves to: the configured override, or
@@ -526,6 +486,11 @@ impl System {
     /// (synchronous execution).
     pub fn is_synchronous_image(&self) -> bool {
         self.gi.is_synchronous()
+    }
+
+    /// Number of nodes of the (full) graph this device holds values for.
+    pub fn num_nodes(&self) -> u32 {
+        self.graph_nodes
     }
 
     /// Current simulated cycle of this device.
@@ -569,11 +534,9 @@ impl System {
     /// Runs the iteration opened by [`begin_iteration`](Self::begin_iteration)
     /// to completion; returns the edges processed.
     ///
-    /// This is the fabric's shard-local epoch entry point: it touches only
-    /// this device's own state (`System` is `Send` and owns everything it
-    /// simulates), so between barriers the fabric may run each shard's
-    /// `step_iteration` on its own host worker thread and still collect
-    /// byte-identical results in device order.
+    /// It touches only this device's own state (`System` is `Send` and
+    /// owns everything it simulates), so the iteration driver may step
+    /// each device on its own host worker thread.
     ///
     /// # Errors
     ///

@@ -19,7 +19,7 @@
 //! An optional per-point wall-clock budget turns runaway points into
 //! [`Outcome::TimedOut`] rows instead of hung processes. The deadline is
 //! enforced cooperatively inside the simulator loop
-//! ([`accel::System::run_with_deadline`]), so no watchdog threads or
+//! ([`accel::System::run_to_outcome`]), so no watchdog threads or
 //! process kills are involved.
 
 use std::collections::HashMap;
@@ -298,7 +298,7 @@ impl EngineConfig {
 /// them here so every experiment module picks them up without threading a
 /// config through each `run(scope)` signature; `--out` enables the
 /// recorder, which captures a [`PointResult`] for every point that flows
-/// through [`run_graph_with_deadline`] — i.e. every simulated point of
+/// through [`run_graph_outcome`] — i.e. every simulated point of
 /// every subcommand, whether or not it went through the parallel engine.
 struct GlobalState {
     config: EngineConfig,

@@ -20,7 +20,7 @@ pub use arch::ArchPoint;
 pub use engine::{EngineConfig, Outcome, PointResult, PointSpec};
 pub use perf::PerfPoint;
 pub use runner::{
-    prepare_graph, run_graph, run_graph_outcome, run_point, CacheVariant, Row, RunFailure, RunSpec,
+    prepare_graph, run_graph, run_graph_outcome, CacheVariant, Row, RunFailure, RunSpec,
 };
 
 /// Geometric mean of positive values; 0 for an empty slice.

@@ -200,42 +200,17 @@ pub fn run_graph_outcome(
     out
 }
 
-/// Runs one point on a prebuilt graph, optionally bounded by a wall-clock
-/// deadline. Returns `None` when the deadline expired.
-///
-/// # Panics
-///
-/// Re-raises a contained simulator failure ([`RunFailure::Failed`]) as a
-/// panic; use [`run_graph_outcome`] to handle failures programmatically.
-pub fn run_graph_with_deadline(
-    g: &CooGraph,
-    bench_tag: &str,
-    algo: Algorithm,
-    spec: &RunSpec,
-    deadline: Option<Instant>,
-) -> Option<(Row, accel::MetricsSnapshot)> {
-    match run_graph_outcome(g, bench_tag, algo, spec, deadline) {
-        Ok(out) => Some(out),
-        Err(RunFailure::TimedOut) => None,
-        Err(RunFailure::Failed(msg)) => panic!("simulation failed: {msg}"),
-    }
-}
-
 /// Runs one point on a prebuilt graph.
 ///
 /// # Panics
 ///
 /// Panics when the simulation fails (see [`run_graph_outcome`]).
 pub fn run_graph(g: &CooGraph, bench_tag: &str, algo: Algorithm, spec: &RunSpec) -> Row {
-    run_graph_with_deadline(g, bench_tag, algo, spec, None)
-        .expect("run without a deadline cannot time out")
-        .0
-}
-
-/// Prepares the benchmark graph and runs one point.
-pub fn run_point(bench: BenchmarkId, algo: Algorithm, spec: &RunSpec) -> Row {
-    let g = prepare_graph(bench, spec.pre, spec.shrink, algo.is_weighted());
-    run_graph(&g, bench.tag(), algo, spec)
+    match run_graph_outcome(g, bench_tag, algo, spec, None) {
+        Ok((row, _)) => row,
+        Err(RunFailure::TimedOut) => unreachable!("run without a deadline cannot time out"),
+        Err(RunFailure::Failed(msg)) => panic!("simulation failed: {msg}"),
+    }
 }
 
 /// The iteration cap used for PageRank in throughput experiments.
@@ -251,7 +226,8 @@ mod tests {
     fn smoke_run_point() {
         let mut spec = RunSpec::new(ArchPoint::two_level_16_16());
         spec.shrink = 32;
-        let row = run_point(BenchmarkId::Wt, Algorithm::Scc, &spec);
+        let g = prepare_graph(BenchmarkId::Wt, spec.pre, spec.shrink, false);
+        let row = run_graph(&g, BenchmarkId::Wt.tag(), Algorithm::Scc, &spec);
         assert!(row.gteps > 0.0);
         assert!(row.cycles > 0);
         assert_eq!(row.bench, "WT");
@@ -263,7 +239,8 @@ mod tests {
         let mut spec = RunSpec::new(ArchPoint::two_level_20_8());
         spec.shrink = 32;
         spec.caches = CacheVariant::None;
-        let row = run_point(BenchmarkId::R24, Algorithm::Scc, &spec);
+        let g = prepare_graph(BenchmarkId::R24, spec.pre, spec.shrink, false);
+        let row = run_graph(&g, BenchmarkId::R24.tag(), Algorithm::Scc, &spec);
         assert_eq!(row.hit_rate, 0.0);
     }
 

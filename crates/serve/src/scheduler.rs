@@ -475,9 +475,15 @@ impl Loop<'_> {
         let query = self.sched.catalog.queries[job.query];
         let rc = &self.sched.run_configs[job.graph];
         let session = if let Some(ckpt) = self.parked[p].store.latest() {
+            let Ok(session) = Session::resume(g, query, rc, ckpt) else {
+                // A checkpoint that does not fit its job cannot be
+                // replayed: fail the batch, as a watchdog trip would.
+                self.rep.failed += batch.len() as u64;
+                return;
+            };
             self.rep.resumes += 1;
             self.tracer.event(t, EventKind::ServeResume, leader);
-            Session::resume(g, query, rc, ckpt)
+            session
         } else {
             // The checkpoint was evicted for parking capacity: start
             // over (correct, just slower).

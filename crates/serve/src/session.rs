@@ -1,44 +1,39 @@
 //! One preemptible job on one device slot.
 //!
-//! A [`Session`] drives a single [`accel::System`] through the same
-//! per-iteration stepping loop `System::run_to_outcome` uses internally,
-//! but a bounded number of iterations (a *slice*) at a time, so the
+//! A [`Session`] is one [`accel::System`] plus the shared
+//! [`IterationDriver`]: it steps the device one Template-1 iteration at a
+//! time and yields after `quantum` boundaries (a *slice*), so the
 //! scheduler can interleave jobs on a slot and preempt at iteration
 //! boundaries.
 //!
 //! Preemption reuses the fabric's proven checkpoint/restore protocol:
-//! at a boundary the host-visible `V_in` image plus the next-iteration
-//! active flags are the complete algorithm state, captured into an
-//! [`accel::Checkpoint`]. Resuming builds a fresh `System` (simulated
-//! devices are stateless between episodes, like a re-provisioned FPGA),
-//! replays the checkpointed values with `write_node_in`, and continues
+//! at a boundary the host-visible `V_in` image plus the driver's
+//! iteration, active flags and edge count are the complete algorithm
+//! state, captured into an [`accel::Checkpoint`]. Resuming builds a fresh
+//! `System` (simulated devices are stateless between episodes, like a
+//! re-provisioned FPGA), restores the checkpoint onto it, and continues
 //! from the saved iteration — bit-exact for the integer algorithms and
 //! within the standard 1e-5 tolerance for PageRank, exactly as the
 //! fabric's rollback path guarantees.
 
+use std::slice;
+
+use accel::iteration::{CheckpointShapeError, IterationDriver};
 use accel::{Checkpoint, RunConfig, RunError, RunResult, System};
 use algos::Algorithm;
 use graph::CooGraph;
 use simkit::Cycle;
 
-/// Why a slice returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceEnd {
-    /// The job ran out of work (converged or hit its iteration cap).
-    Finished,
-    /// The quantum expired at an iteration boundary; the job can be
-    /// checkpointed or continued.
-    Boundary,
-}
+/// Why a slice returned: [`Finished`](SliceEnd::Finished) when the job
+/// ran out of work (converged or hit its iteration cap),
+/// [`Boundary`](SliceEnd::Boundary) when the quantum expired at an
+/// iteration boundary and the job can be checkpointed or continued.
+pub use accel::iteration::Step as SliceEnd;
 
 /// A job's execution state across preemption episodes.
 pub struct Session {
     sys: System,
-    iter: u32,
-    max_iter: u32,
-    active: Vec<bool>,
-    edges: u64,
-    nodes: u32,
+    driver: IterationDriver,
     /// Device cycles consumed so far, summed across episodes (each
     /// episode's fresh `System` restarts its own clock at zero).
     pub device_cycles: Cycle,
@@ -49,42 +44,40 @@ impl Session {
     pub fn fresh(g: &CooGraph, algo: Algorithm, rc: &RunConfig) -> Self {
         let (cfg, partitioner) = rc.build();
         let sys = System::new(g, partitioner, algo, cfg);
-        let active = vec![true; sys.num_source_intervals()];
-        let max_iter = sys.resolved_max_iterations();
+        let driver = IterationDriver::new(slice::from_ref(&sys));
         Session {
             sys,
-            iter: 0,
-            max_iter,
-            active,
-            edges: 0,
-            nodes: g.num_nodes(),
+            driver,
             device_cycles: 0,
         }
     }
 
-    /// Rebuilds a preempted job from `ckpt` (the fabric's restore
-    /// protocol: fresh device, replayed `V_in`, saved iteration/active
-    /// flags).
-    pub fn resume(g: &CooGraph, algo: Algorithm, rc: &RunConfig, ckpt: &Checkpoint) -> Self {
+    /// Rebuilds a preempted job from `ckpt` on a fresh device.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointShapeError`] when `ckpt` does not fit this job's graph
+    /// and configuration.
+    pub fn resume(
+        g: &CooGraph,
+        algo: Algorithm,
+        rc: &RunConfig,
+        ckpt: &Checkpoint,
+    ) -> Result<Self, CheckpointShapeError> {
         let mut s = Session::fresh(g, algo, rc);
-        assert_eq!(ckpt.values.len(), s.nodes as usize, "checkpoint shape");
-        for v in 0..s.nodes {
-            s.sys.write_node_in(v, ckpt.values[v as usize]);
-        }
-        s.iter = ckpt.iteration;
-        s.active = ckpt.active.clone();
-        s.edges = ckpt.edges[0];
+        s.driver.restore(slice::from_mut(&mut s.sys), ckpt)?;
         s.device_cycles = ckpt.cycle;
-        s
+        Ok(s)
     }
 
     /// Iterations completed so far (across episodes).
     pub fn iterations_done(&self) -> u32 {
-        self.iter
+        self.driver.iteration()
     }
 
-    /// Runs up to `quantum` iterations (at least one attempt). Returns
-    /// how the slice ended and the device cycles it consumed.
+    /// Runs until `quantum` boundaries pass (at least one iteration is
+    /// attempted) or the job finishes. Returns how the slice ended and
+    /// the device cycles it consumed.
     ///
     /// # Errors
     ///
@@ -92,34 +85,17 @@ impl Session {
     /// trips mid-iteration; the session is inconsistent afterwards and
     /// must be dropped.
     pub fn step_slice(&mut self, quantum: u32) -> Result<(SliceEnd, Cycle), RunError> {
-        let quantum = quantum.max(1);
         let start = self.sys.now();
-        let mut stepped = 0u32;
+        let mut boundaries = 0u32;
         let end = loop {
-            if self.iter >= self.max_iter {
-                break SliceEnd::Finished;
-            }
-            if self.sys.begin_iteration(self.iter, &self.active) == 0 {
-                break SliceEnd::Finished;
-            }
-            self.edges += self.sys.step_iteration(self.iter, None)?;
-            self.iter += 1;
-            if !self.sys.continues() {
-                break SliceEnd::Finished;
-            }
-            self.active = self.sys.next_active_srcs();
-            if self.sys.is_synchronous_image() && self.iter < self.max_iter {
-                self.sys.advance_synchronous_frontier();
-            }
-            stepped += 1;
-            // A boundary is only offered while another iteration can
-            // actually run: at `iter == max_iter` the synchronous final
-            // values still sit in the out-image (no frontier advance
-            // happened), so checkpointing there would capture stale
-            // `V_in` — report Finished instead, like `run_to_outcome`'s
-            // top-of-loop check would on its next pass.
-            if stepped >= quantum && self.iter < self.max_iter {
-                break SliceEnd::Boundary;
+            match self.driver.step(slice::from_mut(&mut self.sys), 1, None)? {
+                SliceEnd::Finished => break SliceEnd::Finished,
+                SliceEnd::Boundary => {
+                    boundaries += 1;
+                    if boundaries >= quantum.max(1) {
+                        break SliceEnd::Boundary;
+                    }
+                }
             }
         };
         let used = self.sys.now() - start;
@@ -131,25 +107,23 @@ impl Session {
     /// Valid only after a [`SliceEnd::Boundary`] (the inter-iteration
     /// point where `V_in` holds the globally consistent values).
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            iteration: self.iter,
-            cycle: self.device_cycles,
-            values: (0..self.nodes).map(|v| self.sys.read_node_in(v)).collect(),
-            active: self.active.clone(),
-            edges: vec![self.edges],
-        }
+        let values = (0..self.sys.num_nodes())
+            .map(|v| self.sys.read_node_in(v))
+            .collect();
+        self.driver.checkpoint(values, self.device_cycles)
     }
 
     /// Finalizes a finished job into its [`RunResult`] (values, stats).
     pub fn finish(mut self) -> RunResult {
-        self.sys.finish(self.iter, self.edges)
+        self.sys
+            .finish(self.driver.iteration(), self.driver.edges()[0])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel::Driver;
+    use accel::{Driver, ExecutionMode};
     use algos::golden;
     use graph::GraphSpec;
 
@@ -161,21 +135,40 @@ mod tests {
         Driver::new().run_config(g)
     }
 
-    /// Slicing one iteration at a time must land on the same values and
-    /// the same total device cycles as the unsliced run.
+    /// Slicing at any quantum, in either execution mode, must land on the
+    /// same values, iterations and total device cycles as the unsliced
+    /// run — and never offer a boundary once the iteration cap is hit.
     #[test]
     fn sliced_run_matches_run_to_outcome() {
         let g = small_graph();
-        for algo in [Algorithm::bfs(0), Algorithm::sssp(0), Algorithm::Scc] {
-            let rc = rc(&g);
-            let whole = Driver::new().run(&g, algo);
-            let mut s = Session::fresh(&g, algo, &rc);
-            while let (SliceEnd::Boundary, _) = s.step_slice(1).unwrap() {}
-            let total = s.device_cycles;
-            let r = s.finish();
-            assert_eq!(r.values, whole.values, "{}", algo.name());
-            assert_eq!(total, whole.cycles, "{}", algo.name());
-            assert_eq!(r.iterations, whole.iterations, "{}", algo.name());
+        let algos = [
+            Algorithm::bfs(0),
+            Algorithm::sssp(0),
+            Algorithm::Scc,
+            Algorithm::Wcc,
+            Algorithm::pagerank(),
+        ];
+        for mode in [
+            ExecutionMode::AlgorithmDefault,
+            ExecutionMode::ForceSynchronous,
+        ] {
+            for algo in algos {
+                let rc = Driver::new().execution(mode).run_config(&g);
+                let whole = Driver::new().execution(mode).run(&g, algo);
+                for quantum in [1, 3, u32::MAX] {
+                    let what = format!("{} {mode:?} quantum {quantum}", algo.name());
+                    let mut s = Session::fresh(&g, algo, &rc);
+                    while let (SliceEnd::Boundary, _) = s.step_slice(quantum).unwrap() {
+                        assert!(s.iterations_done() < whole.iterations, "{what}");
+                    }
+                    let total = s.device_cycles;
+                    let r = s.finish();
+                    assert_eq!(r.values, whole.values, "{what}");
+                    assert_eq!(total, whole.cycles, "{what}");
+                    assert_eq!(r.iterations, whole.iterations, "{what}");
+                    assert_eq!(r.edges_processed, whole.edges_processed, "{what}");
+                }
+            }
         }
     }
 
@@ -203,7 +196,7 @@ mod tests {
                 }
                 let ckpt = s.checkpoint();
                 drop(s);
-                let mut resumed = Session::resume(&g, algo, &rc, &ckpt);
+                let mut resumed = Session::resume(&g, algo, &rc, &ckpt).unwrap();
                 while let (SliceEnd::Boundary, _) = resumed.step_slice(1).unwrap() {}
                 assert_eq!(
                     resumed.finish().values,
@@ -228,7 +221,7 @@ mod tests {
         let (end, _) = s.step_slice(3).unwrap();
         assert_eq!(end, SliceEnd::Boundary);
         let ckpt = s.checkpoint();
-        let mut resumed = Session::resume(&g, algo, &rc, &ckpt);
+        let mut resumed = Session::resume(&g, algo, &rc, &ckpt).unwrap();
         while let (SliceEnd::Boundary, _) = resumed.step_slice(2).unwrap() {}
         let got = resumed.finish().values;
         assert!(
