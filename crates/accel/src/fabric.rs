@@ -19,7 +19,7 @@
 //! built on [`simkit::Fifo`] two-phase queues. Devices that finish their
 //! compute phase early (or had no local work) park at the barrier; the gap
 //! is attributed to the `link_wait` class of
-//! [`PeCycleBreakdown`](crate::PeCycleBreakdown), which `repro explain`
+//! [`PeCycleBreakdown`], which `repro explain`
 //! renders as the Link section. The iteration itself — active flags,
 //! convergence, buffer swap — is the shared [`IterationDriver`] loop; the
 //! fabric adds the barrier exchange at each of its boundaries.
@@ -625,8 +625,7 @@ impl Fabric {
         let map = DeviceMap::new(partitioner, g.num_nodes(), n);
         let devices: Vec<System> = (0..n)
             .map(|dev| {
-                let local = map.extract_local(g, dev);
-                System::new_sharded(g, &local, partitioner, algo, cfg.clone())
+                System::new_sharded(g, map.device_nodes(dev), partitioner, algo, cfg.clone())
             })
             .collect();
         let mirror: Vec<u32> = (0..g.num_nodes())
@@ -921,8 +920,13 @@ impl Fabric {
         let cfg = self.sys_cfg.clone();
         self.devices = (0..n)
             .map(|dev| {
-                let local = self.map.extract_local(g, dev);
-                System::new_sharded(g, &local, partitioner, algo, cfg.clone())
+                System::new_sharded(
+                    g,
+                    self.map.device_nodes(dev),
+                    partitioner,
+                    algo,
+                    cfg.clone(),
+                )
             })
             .collect();
     }

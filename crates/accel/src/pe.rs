@@ -391,7 +391,7 @@ impl Pe {
     /// `id_starved`, `local_reads`, `moms_reads`, `jobs`, `busy_cycles`.
     ///
     /// Built on demand: the hot counters live in plain fields
-    /// ([`PeCounters`]) and are folded in here, keeping the per-tick path
+    /// (`PeCounters`) and are folded in here, keeping the per-tick path
     /// free of name lookups. As with direct `Stats` use, a counter that
     /// never fired has no entry.
     pub fn stats(&self) -> Stats {

@@ -46,8 +46,8 @@ impl CacheVariant {
 ///
 /// Construct one with [`RunConfig::new`] from whatever source defines the
 /// architecture (a `Driver`, an experiment `ArchPoint`, a hand-built
-/// [`MomsSystemConfig`]), adjust the public fields, then [`build`]
-/// (`RunConfig::build`) the `(SystemConfig, Partitioner)` pair every
+/// [`MomsSystemConfig`]), adjust the public fields, then
+/// [`build`](RunConfig::build) the `(SystemConfig, Partitioner)` pair every
 /// simulator entry point consumes.
 #[derive(Debug, Clone)]
 pub struct RunConfig {

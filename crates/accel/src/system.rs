@@ -2,6 +2,7 @@
 //! per-iteration steps that [`crate::iteration`] sequences into Template 1.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::slice;
 use std::time::Instant;
 
@@ -15,7 +16,7 @@ use simkit::{Cycle, FaultInjector, Stats, Watchdog};
 use algos::Algorithm;
 use dram::{DramChannelSnapshot, DramRequest, DramResponse, MemImage, MemorySystem};
 use graph::layout::{LayoutBuilder, LayoutInit};
-use graph::{CooGraph, GraphImage, Partitioner};
+use graph::{CooGraph, GraphImage, NodeId, Partitioner};
 use moms::{MomsSnapshot, MomsSystem};
 
 use crate::config::{ExecutionMode, SystemConfig};
@@ -264,8 +265,6 @@ pub struct System {
     moms: MomsSystem,
     pes: Vec<Pe>,
     sched: Scheduler,
-    /// Source graph retained for `finalize()` (out-degrees).
-    graph: CooGraph,
     /// Per-PE DRAM segments awaiting channel space.
     seg_q: Vec<VecDeque<DramRequest>>,
     /// Destination intervals scheduled by the last
@@ -302,7 +301,8 @@ const _: fn() = || {
 };
 
 impl System {
-    /// Partitions `g`, lays it out in memory, and builds the accelerator.
+    /// Lays `g` out in memory, streaming its edges straight into the
+    /// image, and builds the accelerator.
     ///
     /// # Panics
     ///
@@ -310,52 +310,48 @@ impl System {
     /// exceeds PE BRAM, or the weighted flags of graph and algorithm
     /// disagree in an unsupported way.
     pub fn new(g: &CooGraph, partitioner: Partitioner, algo: Algorithm, cfg: SystemConfig) -> Self {
-        Self::new_sharded(g, g, partitioner, algo, cfg)
+        Self::new_sharded(g, 0..g.num_nodes(), partitioner, algo, cfg)
     }
 
-    /// Builds one device of a multi-accelerator fabric: the edge shards
-    /// come from `local` (the edges this device owns), while node-level
-    /// metadata — initial values, constants, out-degrees for `finalize` —
-    /// comes from `full`, so per-node arithmetic matches the single-device
-    /// run bit for bit. `local` must span the same node-id space as
-    /// `full`; [`new`](Self::new) is the `local == full` special case.
+    /// Builds one device of a multi-accelerator fabric. Its image holds
+    /// the shards of the edges whose destination lies in `owned` (the
+    /// device's
+    /// [`DeviceMap::device_nodes`](graph::partition::DeviceMap::device_nodes))
+    /// and every node's initial values and constants, so per-node
+    /// arithmetic matches the single-device run bit for bit.
+    /// [`new`](Self::new) is the case `owned == 0..g.num_nodes()`.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`new`](Self::new), or if the
-    /// node counts of `full` and `local` disagree.
+    /// Panics under the same conditions as [`new`](Self::new).
     pub fn new_sharded(
-        full: &CooGraph,
-        local: &CooGraph,
+        g: &CooGraph,
+        owned: Range<NodeId>,
         partitioner: Partitioner,
         algo: Algorithm,
         cfg: SystemConfig,
     ) -> Self {
         cfg.validate();
-        assert_eq!(
-            full.num_nodes(),
-            local.num_nodes(),
-            "device subgraph must span the full node-id space"
-        );
         assert!(
             partitioner.nd() <= cfg.pe.bram_nodes,
             "destination interval exceeds PE BRAM"
         );
-        let g = full;
         if algo.is_weighted() {
             assert!(
                 g.is_weighted(),
                 "weighted algorithm requires a weighted graph"
             );
         }
-        let parts = partitioner.partition(local);
         let force_sync = matches!(cfg.execution, ExecutionMode::ForceSynchronous);
-        let init = LayoutInit {
-            vin: algo.initial_vin(g),
-            vconst: algo.vconst(g),
-            synchronous: algo.synchronous() || force_sync,
+        // The initial vectors are freed once written into the image.
+        let (gi, img) = {
+            let init = LayoutInit {
+                vin: algo.initial_vin(g),
+                vconst: algo.vconst(g),
+                synchronous: algo.synchronous() || force_sync,
+            };
+            LayoutBuilder::build(g, partitioner, owned, &init)
         };
-        let (gi, img) = LayoutBuilder::build(&parts, &init);
         let mut mem = MemorySystem::new(cfg.dram.clone(), cfg.num_channels());
         let mut moms = MomsSystem::new(cfg.moms.clone());
         if cfg.moms_trace_cap > 0 {
@@ -389,7 +385,6 @@ impl System {
             moms,
             pes,
             sched,
-            graph: g.clone(),
             tracer,
             sampler,
             host_ticks: 0,
@@ -572,9 +567,10 @@ impl System {
     /// last iteration never wrote `V_out`, so carry their current values
     /// across the buffer swap; then swap `V_in`/`V_out`.
     pub fn advance_synchronous_frontier(&mut self) {
-        let scheduled: std::collections::HashSet<usize> = self.last_jobs.iter().copied().collect();
+        // `last_jobs` ascends, so one cursor walks it beside `d`.
+        let mut scheduled = self.last_jobs.iter().copied().peekable();
         for d in 0..self.gi.qd() {
-            if scheduled.contains(&d) {
+            if scheduled.next_if_eq(&d).is_some() {
                 continue;
             }
             let base = d as u32 * self.gi.nd();
@@ -626,8 +622,15 @@ impl System {
     /// [`RunResult`] for a run that executed `iterations` iterations and
     /// processed `edges_total` edges.
     pub fn finish(&mut self, iterations: u32, edges_total: u64) -> RunResult {
-        let raw = self.gi.read_out_values(&self.img);
-        let values = self.algo.finalize(&self.graph, &raw);
+        let mut values = self.gi.read_out_values(&self.img);
+        for (v, value) in (0..).zip(values.iter_mut()) {
+            let vconst = if self.gi.has_const() {
+                self.img.read_u32(self.gi.node_const_addr(v))
+            } else {
+                0
+            };
+            *value = self.algo.finalize_value(vconst, *value);
+        }
         let mut stats = Stats::new();
         for pe in &self.pes {
             stats.merge(&pe.stats());
@@ -777,16 +780,17 @@ impl System {
             //    interleave boundary) and issue what fits.
             for i in 0..self.pes.len() {
                 while let Some(req) = self.pes[i].pop_dram_request() {
-                    let segs = self.mem.split_burst(req.addr, req.lines);
-                    self.burst_segments[i].push((req.tag, segs.len() as u32));
-                    for (_, _, lines, gaddr) in segs {
-                        self.seg_q[i].push_back(DramRequest {
+                    let q = &mut self.seg_q[i];
+                    let queued = q.len();
+                    q.extend(self.mem.split_burst(req.addr, req.lines).map(
+                        |(_, _, lines, gaddr)| DramRequest {
                             id: encode_pe_id(i, req.tag),
                             addr: gaddr,
                             lines,
                             write: req.write,
-                        });
-                    }
+                        },
+                    ));
+                    self.burst_segments[i].push((req.tag, (q.len() - queued) as u32));
                 }
                 while let Some(&seg) = self.seg_q[i].front() {
                     let (ch, _) = self.mem.route(seg.addr);

@@ -235,24 +235,29 @@ impl Algorithm {
         v[0]
     }
 
-    /// Denormalises PageRank output (`PR = x·OD`); identity for the other
-    /// algorithms. Run once on the host after the last iteration (§III-B).
-    pub fn finalize(&self, g: &CooGraph, out: &[u32]) -> Vec<u32> {
+    /// Host-side finish of one node's final raw value, given the node's
+    /// `V_const` entry (0 when the algorithm has none): PageRank
+    /// denormalises (`PR = x·OD`), the other algorithms pass the value
+    /// through. Run once per node after the last iteration (§III-B).
+    pub fn finalize_value(&self, vconst: u32, raw: u32) -> u32 {
         match self {
-            Algorithm::PageRank { .. } => {
-                let od = g.out_degrees();
-                out.iter()
-                    .zip(od.iter())
-                    .map(|(&bits, &d)| {
-                        if d == 0 {
-                            bits // dangling nodes already hold PR
-                        } else {
-                            (f32::from_bits(bits) * d as f32).to_bits()
-                        }
-                    })
-                    .collect()
+            // Dangling nodes (OD = 0) already hold PR.
+            Algorithm::PageRank { .. } if vconst != 0 => {
+                (f32::from_bits(raw) * vconst as f32).to_bits()
             }
-            _ => out.to_vec(),
+            _ => raw,
+        }
+    }
+
+    /// [`finalize_value`](Self::finalize_value) over every node of `g`.
+    pub fn finalize(&self, g: &CooGraph, out: &[u32]) -> Vec<u32> {
+        match self.vconst(g) {
+            Some(c) => out
+                .iter()
+                .zip(&c)
+                .map(|(&raw, &c)| self.finalize_value(c, raw))
+                .collect(),
+            None => out.iter().map(|&raw| self.finalize_value(0, raw)).collect(),
         }
     }
 }

@@ -1175,7 +1175,7 @@ pub mod fabric {
     ///
     /// # Errors
     ///
-    /// Propagates the one-line failure summary of [`sweep`].
+    /// Propagates the one-line failure summary of [`sweep`](fn@sweep).
     pub fn run(scope: Scope) -> Result<String, String> {
         Ok(render(&sweep(scope)?))
     }
@@ -1453,7 +1453,7 @@ pub mod chaos_fabric {
     ///
     /// # Errors
     ///
-    /// Propagates the one-line failure summary of [`sweep`].
+    /// Propagates the one-line failure summary of [`sweep`](fn@sweep).
     pub fn run(scope: Scope) -> Result<String, String> {
         Ok(render(&sweep(scope)?))
     }
@@ -1690,13 +1690,13 @@ pub mod serve {
         )
     }
 
-    /// [`sweep`] with an explicit worker count instead of the global
+    /// [`sweep`](fn@sweep) with an explicit worker count instead of the global
     /// engine config — the byte-identity tests compare `jobs = 1`
     /// against `jobs = 4` without touching process-global state.
     ///
     /// # Errors
     ///
-    /// Same contract as [`sweep`].
+    /// Same contract as [`sweep`](fn@sweep).
     #[allow(clippy::type_complexity)]
     pub fn sweep_with_jobs(
         scope: Scope,

@@ -58,21 +58,27 @@ impl MemorySystem {
     /// Splits a burst of `lines` 64 B lines starting at global `addr` into
     /// per-channel segments that each stay within one interleave block.
     ///
-    /// Returns `(channel, local_addr, lines, global_addr)` tuples in
-    /// address order.
-    pub fn split_burst(&self, addr: u64, lines: u32) -> Vec<(usize, u64, u32, u64)> {
-        let mut out = Vec::new();
+    /// Yields `(channel, local_addr, lines, global_addr)` tuples in
+    /// address order, without allocating.
+    pub fn split_burst(
+        &self,
+        addr: u64,
+        lines: u32,
+    ) -> impl Iterator<Item = (usize, u64, u32, u64)> + '_ {
         let mut cur = addr;
         let mut remaining = lines as u64;
-        while remaining > 0 {
+        std::iter::from_fn(move || {
+            if remaining == 0 {
+                return None;
+            }
             let block_end = (cur / INTERLEAVE_BYTES + 1) * INTERLEAVE_BYTES;
             let lines_in_block = ((block_end - cur) / LINE_BYTES).max(1).min(remaining);
             let (ch, local) = self.route(cur);
-            out.push((ch, local, lines_in_block as u32, cur));
+            let seg = (ch, local, lines_in_block as u32, cur);
             cur += lines_in_block * LINE_BYTES;
             remaining -= lines_in_block;
-        }
-        out
+            Some(seg)
+        })
     }
 
     /// `true` when channel `ch` can accept a request this cycle.
@@ -221,7 +227,7 @@ mod tests {
     fn split_burst_respects_boundaries() {
         let m = MemorySystem::new(DramConfig::default(), 2);
         // 64-line (4096 B) burst starting at 1024: spans three blocks.
-        let segs = m.split_burst(1024, 64);
+        let segs: Vec<_> = m.split_burst(1024, 64).collect();
         let total: u32 = segs.iter().map(|s| s.2).sum();
         assert_eq!(total, 64);
         assert_eq!(segs.len(), 3);
@@ -234,7 +240,7 @@ mod tests {
     #[test]
     fn split_burst_aligned_single_segment() {
         let m = MemorySystem::new(DramConfig::default(), 4);
-        let segs = m.split_burst(2048, 32);
+        let segs: Vec<_> = m.split_burst(2048, 32).collect();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].2, 32);
     }

@@ -1,9 +1,12 @@
 //! The on-DRAM graph layout of Fig. 4: vertex arrays, shards of compressed
 //! edges, and 64-bit edge pointers.
 
+use std::ops::Range;
+
 use dram::MemImage;
 
-use crate::partition::{CompressedEdge, PartitionedGraph};
+use crate::coo::{CooGraph, NodeId};
+use crate::partition::{CompressedEdge, Partitioner};
 
 /// Bytes per DRAM line; shards are line-aligned so edge bursts start on a
 /// line boundary.
@@ -204,15 +207,49 @@ impl GraphImage {
             .map(|i| img.read_u32(self.node_out_addr(i)))
             .collect()
     }
+
+    /// Decodes the `(d, s)` shard back to `(src, dst, weight)` global node
+    /// ids in stored order; the weight is 1 when unweighted, as in
+    /// [`PartitionedGraph::iter_shard_edges`](crate::PartitionedGraph::iter_shard_edges).
+    pub fn shard_edges<'a>(
+        &'a self,
+        img: &'a MemImage,
+        d: usize,
+        s: usize,
+    ) -> impl Iterator<Item = (NodeId, NodeId, u32)> + 'a {
+        let p = self.edge_ptr(img, d, s);
+        let edge_bytes = if self.weighted { 8 } else { 4 };
+        let (s_base, d_base) = (s as u32 * self.ns, d as u32 * self.nd);
+        (0..p.edge_count()).map(move |i| {
+            let a = p.byte_addr() + i * edge_bytes;
+            let e = CompressedEdge::from_bits(img.read_u32(a));
+            let w = if self.weighted {
+                img.read_u32(a + 4)
+            } else {
+                1
+            };
+            (s_base + e.src_offset(), d_base + e.dst_offset(), w)
+        })
+    }
 }
 
-/// Builds the Fig. 4 memory layout from a partitioned graph.
+/// Builds the Fig. 4 memory layout straight from a graph.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LayoutBuilder;
 
 impl LayoutBuilder {
-    /// Lays out vertex arrays, shard edges (with terminators), and edge
-    /// pointers; returns the geometry plus the populated image.
+    /// Lays out vertex arrays, the shards of every edge of `g` whose
+    /// destination lies in `owned` (with terminators), and edge pointers;
+    /// returns the geometry plus the populated image.
+    ///
+    /// Construction streams into the image: one pass over the edges
+    /// counts each shard, a second writes every compressed edge (and its
+    /// weight) into its shard's next slot in the graph's edge order, the
+    /// order [`Partitioner::partition`] gives each shard. Beyond the image
+    /// it allocates one word per shard. A single device owns
+    /// `0..g.num_nodes()`; a fabric device owns its
+    /// [`DeviceMap::device_nodes`](crate::partition::DeviceMap::device_nodes)
+    /// and still holds every node's values.
     ///
     /// All edge pointers start with `active = true` (every source interval
     /// is active in iteration 0).
@@ -221,12 +258,18 @@ impl LayoutBuilder {
     ///
     /// Panics if `init.vin` (or `init.vconst`) length differs from the
     /// graph's node count.
-    pub fn build(parts: &PartitionedGraph, init: &LayoutInit) -> (GraphImage, MemImage) {
-        let n = parts.num_nodes() as u64;
+    pub fn build(
+        g: &CooGraph,
+        partitioner: Partitioner,
+        owned: Range<NodeId>,
+        init: &LayoutInit,
+    ) -> (GraphImage, MemImage) {
+        let n = g.num_nodes() as u64;
         assert_eq!(init.vin.len() as u64, n, "one initial value per node");
         if let Some(c) = &init.vconst {
             assert_eq!(c.len() as u64, n, "one constant per node");
         }
+        let (qs, qd) = partitioner.intervals(g.num_nodes());
 
         let align = |a: u64| a.div_ceil(LINE) * LINE;
 
@@ -245,18 +288,20 @@ impl LayoutBuilder {
             vin_addr
         };
 
-        // Shard placement, d-major to match job issue order.
-        let words_per_edge: u64 = if parts.is_weighted() { 2 } else { 1 };
-        let mut shard_addrs = vec![0u64; parts.qd() * parts.qs()];
-        for d in 0..parts.qd() {
-            for s in 0..parts.qs() {
-                shard_addrs[d * parts.qs() + s] = cursor;
-                let edges = parts.shard(s, d).len() as u64 + 1; // + terminator
-                cursor = align(cursor + edges * words_per_edge * 4);
+        // Pass 1: edges per shard, d-major to match job issue order.
+        let mut shard_slot = vec![0u64; qs * qd];
+        for &(s, d) in g.edges() {
+            if owned.contains(&d) {
+                shard_slot[partitioner.shard_index(qs, s, d)] += 1;
             }
         }
+        // A shard holds its edges plus a terminator, padded to a line.
+        let edge_bytes: u64 = if g.is_weighted() { 8 } else { 4 };
+        let shard_bytes = |edges: u64| align((edges + 1) * edge_bytes);
+        let shards_addr = cursor;
+        cursor += shard_slot.iter().map(|&c| shard_bytes(c)).sum::<u64>();
         let ptrs_addr = cursor;
-        cursor = align(cursor + (parts.qd() * parts.qs()) as u64 * 8);
+        cursor = align(cursor + shard_slot.len() as u64 * 8);
         let total_bytes = cursor;
 
         let mut img = MemImage::new(total_bytes as usize);
@@ -278,43 +323,43 @@ impl LayoutBuilder {
             }
         }
 
-        // Shards + terminators.
-        for d in 0..parts.qd() {
-            for s in 0..parts.qs() {
-                let shard = parts.shard(s, d);
-                let mut a = shard_addrs[d * parts.qs() + s];
-                for (i, e) in shard.edges.iter().enumerate() {
-                    img.write_u32(a, e.to_bits());
-                    a += 4;
-                    if let Some(ws) = &shard.weights {
-                        img.write_u32(a, ws[i]);
-                        a += 4;
-                    }
-                }
-                img.write_u32(a, CompressedEdge::TERMINATOR.to_bits());
-                a += 4;
-                if parts.is_weighted() {
-                    img.write_u32(a, 0); // dummy weight after terminator
-                }
-            }
+        // Edge pointers, all active, and terminators (the dummy weight
+        // after a weighted terminator stays zero). Each shard's edge count
+        // then becomes its write cursor.
+        let mut addr = shards_addr;
+        for (idx, slot) in shard_slot.iter_mut().enumerate() {
+            let edges = *slot;
+            let p = EdgePointer::new(addr, edges, true);
+            img.write_u64(ptrs_addr + idx as u64 * 8, p.0);
+            img.write_u32(
+                addr + edges * edge_bytes,
+                CompressedEdge::TERMINATOR.to_bits(),
+            );
+            *slot = addr;
+            addr += shard_bytes(edges);
         }
 
-        // Edge pointers, all active.
-        for d in 0..parts.qd() {
-            for s in 0..parts.qs() {
-                let idx = d * parts.qs() + s;
-                let p = EdgePointer::new(shard_addrs[idx], parts.shard(s, d).len() as u64, true);
-                img.write_u64(ptrs_addr + idx as u64 * 8, p.0);
+        // Pass 2: every edge into its shard's next slot, in edge order.
+        for i in 0..g.num_edges() {
+            let (s, d, w) = g.edge(i);
+            if !owned.contains(&d) {
+                continue;
             }
+            let slot = &mut shard_slot[partitioner.shard_index(qs, s, d)];
+            img.write_u32(*slot, partitioner.compress(s, d).to_bits());
+            if g.is_weighted() {
+                img.write_u32(*slot + 4, w);
+            }
+            *slot += edge_bytes;
         }
 
         let gi = GraphImage {
-            num_nodes: parts.num_nodes(),
-            qs: parts.qs(),
-            qd: parts.qd(),
-            ns: parts.ns(),
-            nd: parts.nd(),
-            weighted: parts.is_weighted(),
+            num_nodes: g.num_nodes(),
+            qs,
+            qd,
+            ns: partitioner.ns(),
+            nd: partitioner.nd(),
+            weighted: g.is_weighted(),
             synchronous: init.synchronous,
             vin_addr,
             vconst_addr,
@@ -329,20 +374,19 @@ impl LayoutBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coo::CooGraph;
     use crate::gen::GraphSpec;
-    use crate::partition::Partitioner;
+    use crate::partition::PartitionedGraph;
 
     fn simple_layout(synchronous: bool) -> (GraphImage, MemImage, PartitionedGraph) {
         let g = CooGraph::from_edges(8, vec![(0, 4), (1, 5), (6, 2), (7, 3), (0, 0)]);
-        let parts = Partitioner::new(4, 4).partition(&g);
+        let partitioner = Partitioner::new(4, 4);
         let init = LayoutInit {
             vin: (0..8).map(|i| i * 10).collect(),
             vconst: None,
             synchronous,
         };
-        let (gi, img) = LayoutBuilder::build(&parts, &init);
-        (gi, img, parts)
+        let (gi, img) = LayoutBuilder::build(&g, partitioner, 0..8, &init);
+        (gi, img, partitioner.partition(&g))
     }
 
     #[test]
@@ -413,6 +457,7 @@ mod tests {
                     a += 4;
                 }
                 assert!(CompressedEdge::from_bits(img.read_u32(a)).is_terminating());
+                assert!(gi.shard_edges(&img, d, s).eq(parts.iter_shard_edges(s, d)));
             }
         }
     }
@@ -420,13 +465,12 @@ mod tests {
     #[test]
     fn weighted_layout_interleaves_weights() {
         let g = CooGraph::from_weighted_edges(4, vec![(0, 1), (1, 2)], vec![111, 222]);
-        let parts = Partitioner::new(4, 4).partition(&g);
         let init = LayoutInit {
             vin: vec![0; 4],
             vconst: None,
             synchronous: false,
         };
-        let (gi, img) = LayoutBuilder::build(&parts, &init);
+        let (gi, img) = LayoutBuilder::build(&g, Partitioner::new(4, 4), 0..4, &init);
         let p = gi.edge_ptr(&img, 0, 0);
         let a = p.byte_addr();
         assert!(!CompressedEdge::from_bits(img.read_u32(a)).is_terminating());
@@ -452,13 +496,12 @@ mod tests {
     #[test]
     fn shards_are_line_aligned() {
         let g = GraphSpec::rmat(8, 4).build(2);
-        let parts = Partitioner::new(64, 64).partition(&g);
         let init = LayoutInit {
             vin: vec![0; 256],
             vconst: None,
             synchronous: true,
         };
-        let (gi, img) = LayoutBuilder::build(&parts, &init);
+        let (gi, img) = LayoutBuilder::build(&g, Partitioner::new(64, 64), 0..256, &init);
         for d in 0..gi.qd() {
             for s in 0..gi.qs() {
                 assert_eq!(gi.edge_ptr(&img, d, s).byte_addr() % 64, 0);

@@ -131,22 +131,35 @@ impl Partitioner {
         self.nd
     }
 
+    /// `(Qs, Qd)`: the numbers of source and destination intervals of a
+    /// graph with `num_nodes` nodes (at least one of each).
+    pub fn intervals(&self, num_nodes: u32) -> (usize, usize) {
+        (
+            num_nodes.div_ceil(self.ns).max(1) as usize,
+            num_nodes.div_ceil(self.nd).max(1) as usize,
+        )
+    }
+
+    /// Index of the shard holding edge `s → d` when there are `qs` source
+    /// intervals: d-major (`d_interval * qs + s_interval`) to match the
+    /// job issue order.
+    pub fn shard_index(&self, qs: usize, s: NodeId, d: NodeId) -> usize {
+        (d / self.nd) as usize * qs + (s / self.ns) as usize
+    }
+
+    /// The compressed word of edge `s → d`: each endpoint's offset within
+    /// its interval.
+    pub fn compress(&self, s: NodeId, d: NodeId) -> CompressedEdge {
+        CompressedEdge::new(s % self.ns, d % self.nd)
+    }
+
     /// Partitions `g` into shards with a stable O(M) counting sort.
     pub fn partition(&self, g: &CooGraph) -> PartitionedGraph {
         let n = g.num_nodes();
-        let qs = n.div_ceil(self.ns).max(1) as usize;
-        let qd = n.div_ceil(self.nd).max(1) as usize;
-        let nshards = qs * qd;
-
-        // Counting sort by shard index (d-major to match the job order).
-        let shard_of = |s: NodeId, d: NodeId| -> usize {
-            let si = (s / self.ns) as usize;
-            let di = (d / self.nd) as usize;
-            di * qs + si
-        };
-        let mut counts = vec![0usize; nshards];
+        let (qs, qd) = self.intervals(n);
+        let mut counts = vec![0usize; qs * qd];
         for &(s, d) in g.edges() {
-            counts[shard_of(s, d)] += 1;
+            counts[self.shard_index(qs, s, d)] += 1;
         }
         let mut shards: Vec<Shard> = counts
             .iter()
@@ -157,10 +170,9 @@ impl Partitioner {
             .collect();
         for i in 0..g.num_edges() {
             let (s, d, w) = g.edge(i);
-            let idx = shard_of(s, d);
-            let e = CompressedEdge::new(s % self.ns, d % self.nd);
-            shards[idx].edges.push(e);
-            if let Some(ws) = &mut shards[idx].weights {
+            let shard = &mut shards[self.shard_index(qs, s, d)];
+            shard.edges.push(self.compress(s, d));
+            if let Some(ws) = &mut shard.weights {
                 ws.push(w);
             }
         }
@@ -404,6 +416,10 @@ impl DeviceMap {
     /// only the edges whose destination the device owns, in the original
     /// edge order (so per-shard edge order — and therefore every f32
     /// reduction order — matches the single-device partition exactly).
+    ///
+    /// Devices never materialise this copy: `LayoutBuilder` streams the
+    /// owned edges straight into each device's image. It stays as the
+    /// reference the layout tests compare against.
     pub fn extract_local(&self, g: &CooGraph, dev: usize) -> CooGraph {
         let nodes = self.device_nodes(dev);
         let mut edges = Vec::new();

@@ -323,7 +323,7 @@ impl MomsBank {
     /// `busy_chain_cycles`).
     ///
     /// Built on demand: the hot counters live in plain fields
-    /// ([`BankCounters`]) and are folded in here, keeping the per-tick
+    /// (`BankCounters`) and are folded in here, keeping the per-tick
     /// path free of name lookups. As with direct `Stats` use, a counter
     /// that never fired has no entry.
     pub fn stats(&self) -> Stats {

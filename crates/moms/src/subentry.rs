@@ -19,13 +19,12 @@ pub struct Subentry {
 /// Sentinel row index meaning "no next row".
 pub const NO_ROW: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct Row {
-    entries: Vec<Subentry>,
-    next: u32,
-}
-
 /// A pool of subentry rows with a free list, as stored in URAM (§V-B).
+///
+/// Like the URAM it models, the pool is a few dense arrays: every row's
+/// slots in one contiguous slot array, plus per-row fill lengths and
+/// next-row links. Building a buffer costs a constant number of
+/// allocations however many rows it holds.
 ///
 /// # Example
 ///
@@ -43,7 +42,12 @@ struct Row {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SubentryBuffer {
-    rows: Vec<Row>,
+    /// Row `r` owns `slots[r * slots_per_row..][..slots_per_row]`.
+    slots: Vec<Subentry>,
+    /// Filled slots per row.
+    lens: Vec<u32>,
+    /// Next row of each row's chain, or [`NO_ROW`].
+    next: Vec<u32>,
     free: Vec<u32>,
     slots_per_row: usize,
     used_entries: usize,
@@ -76,20 +80,41 @@ impl SubentryBuffer {
         assert!(slots_per_row > 0, "rows must hold at least one entry");
         assert!(total_entries >= slots_per_row, "buffer smaller than a row");
         let num_rows = total_entries / slots_per_row;
-        let rows = (0..num_rows)
-            .map(|_| Row {
-                entries: Vec::with_capacity(slots_per_row),
-                next: NO_ROW,
-            })
-            .collect();
         SubentryBuffer {
-            rows,
+            slots: vec![Subentry { id: 0, word: 0 }; num_rows * slots_per_row],
+            lens: vec![0; num_rows],
+            next: vec![NO_ROW; num_rows],
             free: (0..num_rows as u32).rev().collect(),
             slots_per_row,
             used_entries: 0,
             peak_entries: 0,
             chain_rows,
         }
+    }
+
+    /// The filled slots of row `r`.
+    fn row(&self, r: u32) -> &[Subentry] {
+        let start = r as usize * self.slots_per_row;
+        &self.slots[start..start + self.lens[r as usize] as usize]
+    }
+
+    /// Stores `e` in the next free slot of row `r`, which has room.
+    fn push(&mut self, r: u32, e: Subentry) {
+        let len = &mut self.lens[r as usize];
+        self.slots[r as usize * self.slots_per_row + *len as usize] = e;
+        *len += 1;
+        self.used_entries += 1;
+        self.peak_entries = self.peak_entries.max(self.used_entries);
+    }
+
+    /// Empties row `r`, unlinks it, returns it to the free list, and
+    /// yields its former successor.
+    fn free_row(&mut self, r: u32) -> u32 {
+        self.used_entries -= self.lens[r as usize] as usize;
+        self.lens[r as usize] = 0;
+        let next = std::mem::replace(&mut self.next[r as usize], NO_ROW);
+        self.free.push(r);
+        next
     }
 
     /// Number of rows not currently allocated.
@@ -114,8 +139,8 @@ impl SubentryBuffer {
     /// Returns [`SubentryFull`] when no row is free.
     pub fn alloc_row(&mut self) -> Result<u32, SubentryFull> {
         let idx = self.free.pop().ok_or(SubentryFull)?;
-        debug_assert!(self.rows[idx as usize].entries.is_empty());
-        self.rows[idx as usize].next = NO_ROW;
+        debug_assert_eq!(self.lens[idx as usize], 0);
+        self.next[idx as usize] = NO_ROW;
         Ok(idx)
     }
 
@@ -132,21 +157,16 @@ impl SubentryBuffer {
     ///
     /// Panics if `tail` is not a valid allocated row.
     pub fn append(&mut self, tail: u32, e: Subentry) -> Result<u32, SubentryFull> {
-        let t = tail as usize;
-        if self.rows[t].entries.len() < self.slots_per_row {
-            self.rows[t].entries.push(e);
-            self.used_entries += 1;
-            self.peak_entries = self.peak_entries.max(self.used_entries);
+        if (self.lens[tail as usize] as usize) < self.slots_per_row {
+            self.push(tail, e);
             return Ok(tail);
         }
         if !self.chain_rows {
             return Err(SubentryFull);
         }
         let new_tail = self.alloc_row()?;
-        self.rows[t].next = new_tail;
-        self.rows[new_tail as usize].entries.push(e);
-        self.used_entries += 1;
-        self.peak_entries = self.peak_entries.max(self.used_entries);
+        self.next[tail as usize] = new_tail;
+        self.push(new_tail, e);
         Ok(new_tail)
     }
 
@@ -157,12 +177,8 @@ impl SubentryBuffer {
     ///
     /// Panics if the row holds entries.
     pub fn release_empty_row(&mut self, row: u32) {
-        assert!(
-            self.rows[row as usize].entries.is_empty(),
-            "row {row} is not empty"
-        );
-        self.rows[row as usize].next = NO_ROW;
-        self.free.push(row);
+        assert_eq!(self.lens[row as usize], 0, "row {row} is not empty");
+        self.free_row(row);
     }
 
     /// Drains the whole chain starting at `head`, freeing its rows and
@@ -175,14 +191,9 @@ impl SubentryBuffer {
         let mut out = Vec::new();
         let mut cur = head;
         while cur != NO_ROW {
-            let row = &mut self.rows[cur as usize];
-            out.append(&mut row.entries);
-            let next = row.next;
-            row.next = NO_ROW;
-            self.free.push(cur);
-            cur = next;
+            out.extend_from_slice(self.row(cur));
+            cur = self.free_row(cur);
         }
-        self.used_entries -= out.len();
         out
     }
 
@@ -205,17 +216,11 @@ impl SubentryBuffer {
         let mut n = 0;
         let mut cur = head;
         while cur != NO_ROW {
-            let row = &mut self.rows[cur as usize];
-            for e in row.entries.drain(..) {
-                out.push_back((line, e));
-                n += 1;
-            }
-            let next = row.next;
-            row.next = NO_ROW;
-            self.free.push(cur);
-            cur = next;
+            let row = self.row(cur);
+            n += row.len();
+            out.extend(row.iter().map(|&e| (line, e)));
+            cur = self.free_row(cur);
         }
-        self.used_entries -= n;
         n
     }
 
@@ -224,8 +229,8 @@ impl SubentryBuffer {
         let mut n = 0;
         let mut cur = head;
         while cur != NO_ROW {
-            n += self.rows[cur as usize].entries.len();
-            cur = self.rows[cur as usize].next;
+            n += self.lens[cur as usize] as usize;
+            cur = self.next[cur as usize];
         }
         n
     }
@@ -236,14 +241,14 @@ impl SubentryBuffer {
         let mut cur = head;
         while cur != NO_ROW {
             n += 1;
-            cur = self.rows[cur as usize].next;
+            cur = self.next[cur as usize];
         }
         n
     }
 
     /// Total rows in the pool (free plus allocated).
     pub fn total_rows(&self) -> usize {
-        self.rows.len()
+        self.lens.len()
     }
 
     /// Verifies structural consistency: the live-entry counter matches the
@@ -254,17 +259,22 @@ impl SubentryBuffer {
     ///
     /// Panics on any violation; used by the `invariants` feature.
     pub fn check_consistency(&self) {
-        let total: usize = self.rows.iter().map(|r| r.entries.len()).sum();
+        let total: usize = self.lens.iter().map(|&l| l as usize).sum();
         assert_eq!(
             total, self.used_entries,
             "subentry used_entries counter drifted from per-row sums"
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.total_rows()];
         for &idx in &self.free {
-            assert!(seen.insert(idx), "row {idx} on the free list twice");
-            let row = &self.rows[idx as usize];
-            assert!(row.entries.is_empty(), "free row {idx} holds entries");
-            assert_eq!(row.next, NO_ROW, "free row {idx} links to another row");
+            assert!(
+                !std::mem::replace(&mut seen[idx as usize], true),
+                "row {idx} on the free list twice"
+            );
+            assert_eq!(self.lens[idx as usize], 0, "free row {idx} holds entries");
+            assert_eq!(
+                self.next[idx as usize], NO_ROW,
+                "free row {idx} links to another row"
+            );
         }
     }
 }
@@ -359,5 +369,79 @@ mod tests {
         buf.take_chain(head);
         assert_eq!(buf.used_entries(), 0);
         assert_eq!(buf.peak_entries(), 7);
+    }
+
+    /// Builds a chain of `n` entries with ids `base..base + n`.
+    fn chain(buf: &mut SubentryBuffer, base: u32, n: u32) -> u32 {
+        let head = buf.alloc_row().unwrap();
+        let mut tail = head;
+        for i in 0..n {
+            let e = Subentry {
+                id: base + i,
+                word: i as u8,
+            };
+            tail = buf.append(tail, e).unwrap();
+        }
+        head
+    }
+
+    /// The rows of the chain starting at `head`, in link order.
+    fn chain_rows(buf: &SubentryBuffer, head: u32) -> Vec<u32> {
+        let mut rows = vec![head];
+        while let Some(&r) = rows.last() {
+            match buf.next[r as usize] {
+                NO_ROW => break,
+                n => rows.push(n),
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn drained_rows_are_reused_lifo_and_clean() {
+        // Two three-row chains drained through both paths: every freed
+        // row comes back empty and unlinked, the free list holds no
+        // duplicates, and allocation pops the most recently freed row.
+        let mut buf = SubentryBuffer::new(32, 2, true);
+        let a = chain(&mut buf, 0, 6);
+        let b = chain(&mut buf, 100, 6);
+        let a_rows = chain_rows(&buf, a);
+        assert_eq!(a_rows.len(), 3);
+        buf.check_consistency();
+        assert_eq!(buf.free_rows(), 10);
+
+        let mut q = std::collections::VecDeque::new();
+        assert_eq!(buf.drain_chain_into(b, 7, &mut q), 6);
+        assert_eq!(
+            q.iter().map(|&(l, e)| (l, e.id)).collect::<Vec<_>>(),
+            (100..106).map(|id| (7, id)).collect::<Vec<_>>()
+        );
+        assert_eq!(buf.take_chain(a).len(), 6);
+        buf.check_consistency();
+        assert_eq!(buf.used_entries(), 0);
+        assert_eq!(buf.free_rows(), 16);
+
+        // Chain `a` was freed last, its tail row last of all.
+        for &r in a_rows.iter().rev() {
+            let got = buf.alloc_row().unwrap();
+            assert_eq!(got, r);
+            assert!(buf.row(got).is_empty());
+            assert_eq!(buf.chain_row_count(got), 1, "reused row must be unlinked");
+        }
+        // A reused row holds a full row of entries again.
+        let head = buf.alloc_row().unwrap();
+        let tail = buf.append(head, Subentry { id: 1, word: 1 }).unwrap();
+        let tail = buf.append(tail, Subentry { id: 2, word: 2 }).unwrap();
+        assert_eq!(tail, head);
+        buf.check_consistency();
+    }
+
+    #[test]
+    #[should_panic(expected = "not empty")]
+    fn releasing_a_written_row_panics() {
+        let mut buf = SubentryBuffer::new(8, 4, true);
+        let r = buf.alloc_row().unwrap();
+        buf.append(r, Subentry { id: 0, word: 0 }).unwrap();
+        buf.release_empty_row(r);
     }
 }

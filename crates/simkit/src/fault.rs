@@ -6,7 +6,7 @@
 //! a producer (the DRAM model) and its consumer (the accelerator's
 //! response router) and perturbs delivery according to a named
 //! [`FaultProfile`] and a seed. Every decision comes from a
-//! [`SplitMix64`](crate::SplitMix64) stream, so a `(profile, seed)` pair
+//! [`SplitMix64`] stream, so a `(profile, seed)` pair
 //! replays the exact same fault schedule on every run and platform.
 //!
 //! All profiles except [`FaultProfile::BlackHole`] are *lossless*: every

@@ -315,7 +315,7 @@ const HIST_BUCKETS: usize = HIST_EXACT + (64 - (HIST_SUB_BITS + 1) as usize) * (
 ///
 /// Values below 16 land in exact unit buckets; larger values share a
 /// bucket with at most 12.5% relative spread (power-of-two exponent plus
-/// [`HIST_SUB_BITS`] linear bits). [`quantile`](Self::quantile) returns
+/// `HIST_SUB_BITS` linear bits). [`quantile`](Self::quantile) returns
 /// the inclusive upper edge of the bucket holding the requested rank
 /// (clamped to the observed maximum), so for any recorded distribution
 /// `oracle(q) <= quantile(q) <= oracle(q) * 9/8 + 1`.

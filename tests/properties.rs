@@ -11,7 +11,7 @@ use accel::{PeConfig, System, SystemConfig};
 use algos::{golden, Algorithm};
 use dram::DramConfig;
 use graph::layout::{EdgePointer, LayoutBuilder, LayoutInit};
-use graph::partition::CompressedEdge;
+use graph::partition::{CompressedEdge, DeviceMap};
 use graph::{CooGraph, Partitioner};
 use moms::cuckoo::{CuckooMshr, InsertOutcome, MshrEntry};
 use moms::{MomsConfig, MomsSystemConfig, Topology};
@@ -121,34 +121,81 @@ fn partition_is_lossless() {
 
 #[test]
 fn layout_decodes_to_original_edges() {
+    // Random graphs (half weighted), random Ns/Nd, synchronous or not,
+    // with or without V_const, laid out for the whole graph or for one
+    // fabric device's owned destinations. Every shard must decode, in
+    // order, to the partitioner's shard restricted to those destinations,
+    // which is also the shard of the device's extracted subgraph.
     let mut rng = SplitMix64::new(0x5eed_0004);
     for case in 0..CASES {
-        let g = random_graph(&mut rng, 300, 1000);
-        let parts = Partitioner::new(64, 64).partition(&g);
+        let mut g = random_graph(&mut rng, 300, 1000);
+        if rng.chance(0.5) {
+            g = g.with_random_weights(0, 1 << 20, rng.next_u64());
+        }
+        let n = g.num_nodes();
+        let (ns, nd) = (
+            1 + rng.next_below(127) as u32,
+            1 + rng.next_below(127) as u32,
+        );
+        let partitioner = Partitioner::new(ns, nd);
+        let devices = 1 + rng.next_below(4) as usize;
+        let map = DeviceMap::new(partitioner, n, devices);
+        let dev = rng.next_below(devices as u64) as usize;
+        let owned = map.device_nodes(dev);
         let init = LayoutInit {
-            vin: vec![7; g.num_nodes() as usize],
-            vconst: None,
-            synchronous: false,
+            vin: (0..n).map(|_| rng.next_u64() as u32).collect(),
+            vconst: rng
+                .chance(0.5)
+                .then(|| (0..n).map(|_| rng.next_u64() as u32).collect()),
+            synchronous: rng.chance(0.5),
         };
-        let (gi, img) = LayoutBuilder::build(&parts, &init);
-        let mut count = 0u64;
-        for d in 0..gi.qd() {
-            for s in 0..gi.qs() {
-                let p = gi.edge_ptr(&img, d, s);
-                let mut a = p.byte_addr();
-                for _ in 0..p.edge_count() {
-                    let e = CompressedEdge::from_bits(img.read_u32(a));
-                    assert!(!e.is_terminating(), "case {case}");
-                    a += 4;
-                    count += 1;
-                }
-                assert!(
-                    CompressedEdge::from_bits(img.read_u32(a)).is_terminating(),
-                    "case {case}"
-                );
+        let (gi, img) = LayoutBuilder::build(&g, partitioner, owned.clone(), &init);
+        let what = format!("case {case} (ns {ns}, nd {nd}, device {dev} of {devices})");
+
+        assert_eq!(gi.is_synchronous(), init.synchronous, "{what}");
+        assert_eq!(gi.has_const(), init.vconst.is_some(), "{what}");
+        for v in 0..n {
+            let want = init.vin[v as usize];
+            assert_eq!(img.read_u32(gi.node_in_addr(v)), want, "{what}: V_in[{v}]");
+            assert_eq!(
+                img.read_u32(gi.node_out_addr(v)),
+                want,
+                "{what}: V_out[{v}]"
+            );
+            if let Some(c) = &init.vconst {
+                let got = img.read_u32(gi.node_const_addr(v));
+                assert_eq!(got, c[v as usize], "{what}: V_const[{v}]");
             }
         }
-        assert_eq!(count, g.num_edges() as u64, "case {case}");
+
+        let parts = partitioner.partition(&g);
+        let local = partitioner.partition(&map.extract_local(&g, dev));
+        assert_eq!((gi.qs(), gi.qd()), (parts.qs(), parts.qd()), "{what}");
+        let edge_bytes = if g.is_weighted() { 8 } else { 4 };
+        let mut count = 0;
+        for d in 0..gi.qd() {
+            for s in 0..gi.qs() {
+                let got: Vec<_> = gi.shard_edges(&img, d, s).collect();
+                let want: Vec<_> = parts
+                    .iter_shard_edges(s, d)
+                    .filter(|(_, dst, _)| owned.contains(dst))
+                    .collect();
+                assert_eq!(got, want, "{what}: shard ({s}, {d})");
+                assert!(
+                    local.iter_shard_edges(s, d).eq(want),
+                    "{what}: shard ({s}, {d})"
+                );
+                let p = gi.edge_ptr(&img, d, s);
+                assert!(p.active(), "{what}");
+                assert_eq!(p.byte_addr() % 64, 0, "{what}: shard ({s}, {d}) unaligned");
+                let end = p.byte_addr() + p.edge_count() * edge_bytes;
+                let terminator = CompressedEdge::from_bits(img.read_u32(end));
+                assert!(terminator.is_terminating(), "{what}: shard ({s}, {d})");
+                count += got.len();
+            }
+        }
+        let owned_edges = g.edges().iter().filter(|(_, d)| owned.contains(d)).count();
+        assert_eq!(count, owned_edges, "{what}");
     }
 }
 
