@@ -13,9 +13,10 @@
 //! let report = Driver::new()
 //!     .pes(4)
 //!     .channels(2)
-//!     .run(&g, Algorithm::bfs(0));
+//!     .run(&g, Algorithm::bfs(0))?;
 //! assert_eq!(report.values, golden::run(&Algorithm::bfs(0), &g));
 //! assert!(report.gteps_at(200.0) > 0.0);
+//! # Ok::<(), accel::RunError>(())
 //! ```
 
 use algos::Algorithm;
@@ -24,9 +25,9 @@ use moms::{MomsConfig, MomsSystemConfig, Topology};
 
 use crate::checkpoint::RecoveryConfig;
 use crate::config::ExecutionMode;
-use crate::fabric::{Fabric, FabricRunResult, LinkConfig, LinkTopology};
+use crate::fabric::{Fabric, FabricError, FabricRunResult, LinkConfig, LinkTopology};
 use crate::run_config::{CacheVariant, RunConfig};
-use crate::system::{RunResult, System};
+use crate::system::{RunError, RunResult, System};
 use simkit::Cycle;
 
 /// Builder for one-shot accelerator runs with sensible defaults.
@@ -255,13 +256,17 @@ impl Driver {
 
     /// Runs `algo` on `g` on one device and returns the result.
     ///
+    /// # Errors
+    ///
+    /// [`RunError::Stalled`] when the no-progress watchdog trips.
+    ///
     /// # Panics
     ///
     /// Panics if a weighted algorithm is run on an unweighted graph, the
     /// graph's intervals exceed hardware limits, or more than one device
     /// was configured (use [`run_fabric`](Self::run_fabric) for
     /// multi-device runs).
-    pub fn run(&self, g: &CooGraph, algo: Algorithm) -> RunResult {
+    pub fn run(&self, g: &CooGraph, algo: Algorithm) -> Result<RunResult, RunError> {
         assert_eq!(
             self.devices, 1,
             "Driver::run is the single-device path; use Driver::run_fabric \
@@ -269,18 +274,27 @@ impl Driver {
             self.devices
         );
         let (cfg, partitioner) = self.run_config(g).build();
-        System::new(g, partitioner, algo, cfg).run()
+        System::new(g, partitioner, algo, cfg).run_to_outcome(None)
     }
 
     /// Runs `algo` on `g` across the configured fabric (any device count,
     /// including 1) and returns the fabric result.
     ///
+    /// # Errors
+    ///
+    /// [`FabricError`] when a device or the link exchange stalls and
+    /// recovery (if configured) cannot carry the run.
+    ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run`](Self::run), or if a
-    /// device or the link exchange stalls.
-    pub fn run_fabric(&self, g: &CooGraph, algo: Algorithm) -> FabricRunResult {
-        Fabric::new(g, algo, &self.run_config(g)).run()
+    /// Panics under the same configuration conditions as
+    /// [`run`](Self::run).
+    pub fn run_fabric(
+        &self,
+        g: &CooGraph,
+        algo: Algorithm,
+    ) -> Result<FabricRunResult, FabricError> {
+        Fabric::new(g, algo, &self.run_config(g)).run_to_outcome(None)
     }
 }
 
@@ -302,7 +316,7 @@ mod tests {
     #[test]
     fn defaults_run_and_match_golden() {
         let g = GraphSpec::rmat(9, 4).build(91);
-        let r = Driver::new().run(&g, Algorithm::Scc);
+        let r = Driver::new().run(&g, Algorithm::Scc).unwrap();
         assert_eq!(r.values, golden::run(&Algorithm::Scc, &g));
     }
 
@@ -340,7 +354,8 @@ mod tests {
         let r = Driver::new()
             .topology(Topology::Private)
             .execution(ExecutionMode::ForceSynchronous)
-            .run(&g, Algorithm::bfs(0));
+            .run(&g, Algorithm::bfs(0))
+            .unwrap();
         assert_eq!(r.values, golden::run(&Algorithm::bfs(0), &g));
     }
 }

@@ -76,8 +76,9 @@
 //!
 //! let g = GraphSpec::rmat(8, 4).build(11);
 //! let rc = Driver::new().devices(2).run_config(&g);
-//! let r = Fabric::new(&g, Algorithm::bfs(0), &rc).run();
+//! let r = Fabric::new(&g, Algorithm::bfs(0), &rc).run_to_outcome(None)?;
 //! assert_eq!(r.values, golden::run(&Algorithm::bfs(0), &g));
+//! # Ok::<(), accel::FabricError>(())
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
@@ -735,23 +736,6 @@ impl Fabric {
     /// The device-ownership map in effect.
     pub fn device_map(&self) -> &DeviceMap {
         &self.map
-    }
-
-    /// Runs to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the rendered diagnostics if a device or the link
-    /// exchange stalls; use [`run_to_outcome`](Self::run_to_outcome) to
-    /// handle stalls programmatically.
-    pub fn run(&mut self) -> FabricRunResult {
-        match self.run_to_outcome(None) {
-            Ok(r) => r,
-            Err(FabricError::TimedOut) => {
-                unreachable!("run without a deadline cannot time out")
-            }
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Runs to completion, reporting timeouts and stalls as structured

@@ -219,7 +219,9 @@ mod tests {
             ..FuzzTarget::default()
         };
         let algo = Algorithm::bfs(0);
-        let r = crate::fabric::Fabric::new(&g, algo, &t.run_config(&g)).run();
+        let r = crate::fabric::Fabric::new(&g, algo, &t.run_config(&g))
+            .run_to_outcome(None)
+            .unwrap();
         assert_eq!(r.values, golden::run(&algo, &g));
     }
 

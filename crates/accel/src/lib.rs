@@ -30,8 +30,9 @@
 //! let g = GraphSpec::rmat(8, 4).build(1);
 //! let algo = Algorithm::bfs(0);
 //! let mut sys = System::new(&g, Partitioner::new(128, 128), algo, SystemConfig::small());
-//! let result = sys.run();
+//! let result = sys.run_to_outcome(None)?;
 //! assert_eq!(result.values, golden::run(&algo, &g));
+//! # Ok::<(), accel::RunError>(())
 //! ```
 
 #![warn(missing_docs)]

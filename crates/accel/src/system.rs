@@ -139,7 +139,8 @@ pub struct PeStallBreakdown {
 }
 
 /// Structured metrics of one run: the MOMS, DRAM, and PE counters that
-/// experiments export, gathered once at the end of [`System::run`].
+/// experiments export, gathered once at the end of
+/// [`System::run_to_outcome`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// MOMS occupancy peaks and cache counters across every bank.
@@ -252,8 +253,8 @@ fn decode_pe_id(id: u64) -> (usize, u64) {
     ((id >> 48) as usize, id & ((1 << 48) - 1))
 }
 
-/// The full accelerator, ready to [`run`](Self::run) one algorithm on one
-/// graph.
+/// The full accelerator, ready to [`run`](Self::run_to_outcome) one
+/// algorithm on one graph.
 #[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
@@ -426,21 +427,6 @@ impl System {
                 })
             })
             .collect()
-    }
-
-    /// Runs Template 1 to completion and returns the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the rendered [`DiagnosticSnapshot`] if the no-progress
-    /// watchdog trips; use [`run_to_outcome`](Self::run_to_outcome) to
-    /// handle a stall programmatically.
-    pub fn run(&mut self) -> RunResult {
-        match self.run_to_outcome(None) {
-            Ok(r) => r,
-            Err(RunError::TimedOut) => unreachable!("run without a deadline cannot time out"),
-            Err(RunError::Stalled(snap)) => panic!("{snap}"),
-        }
     }
 
     /// Runs Template 1 to completion, reporting timeouts and watchdog
@@ -1058,7 +1044,7 @@ mod tests {
     fn bfs_matches_golden_exactly() {
         let g = GraphSpec::rmat(8, 4).build(11);
         let algo = Algorithm::bfs(0);
-        let result = small_system(&g, algo).run();
+        let result = small_system(&g, algo).run_to_outcome(None).unwrap();
         assert_eq!(result.values, golden::run(&algo, &g));
         assert!(result.cycles > 0);
         assert!(result.edges_processed > 0);
@@ -1068,7 +1054,7 @@ mod tests {
     fn scc_matches_golden_exactly() {
         let g = GraphSpec::rmat(8, 6).build(13);
         let algo = Algorithm::Scc;
-        let result = small_system(&g, algo).run();
+        let result = small_system(&g, algo).run_to_outcome(None).unwrap();
         assert_eq!(result.values, golden::run(&algo, &g));
     }
 
@@ -1078,7 +1064,7 @@ mod tests {
             .build(17)
             .with_random_weights(0, 255, 3);
         let algo = Algorithm::sssp(0);
-        let result = small_system(&g, algo).run();
+        let result = small_system(&g, algo).run_to_outcome(None).unwrap();
         assert_eq!(result.values, golden::dijkstra(&g, 0));
     }
 
@@ -1086,7 +1072,7 @@ mod tests {
     fn pagerank_matches_golden_within_fp_tolerance() {
         let g = GraphSpec::rmat(8, 4).build(19);
         let algo = Algorithm::pagerank();
-        let result = small_system(&g, algo).run();
+        let result = small_system(&g, algo).run_to_outcome(None).unwrap();
         let want = golden::run(&algo, &g);
         assert_eq!(
             golden::pagerank_mismatch(&result.values, &want, 1e-3),
@@ -1100,7 +1086,7 @@ mod tests {
     fn async_converges_in_fewer_iterations_than_bound() {
         let g = GraphSpec::rmat(8, 8).build(23);
         let algo = Algorithm::Scc;
-        let result = small_system(&g, algo).run();
+        let result = small_system(&g, algo).run_to_outcome(None).unwrap();
         assert!(
             result.iterations < g.num_nodes(),
             "convergence detection failed: {} iterations",
@@ -1117,7 +1103,9 @@ mod tests {
         let algo = Algorithm::pagerank();
         let mut cfg = SystemConfig::small();
         cfg.pe.bram_nodes = 2048;
-        let result = System::new(&g, Partitioner::new(2048, 2048), algo, cfg).run();
+        let result = System::new(&g, Partitioner::new(2048, 2048), algo, cfg)
+            .run_to_outcome(None)
+            .unwrap();
         let want = golden::run(&algo, &g);
         assert_eq!(golden::pagerank_mismatch(&result.values, &want, 1e-3), None);
     }
@@ -1129,12 +1117,12 @@ mod tests {
             .with_random_weights(0, 255, 7);
         let algo = Algorithm::sssp(0);
 
-        let async_result = small_system(&g, algo).run();
+        let async_result = small_system(&g, algo).run_to_outcome(None).unwrap();
 
         let mut cfg = SystemConfig::small();
         cfg.execution = crate::config::ExecutionMode::ForceSynchronous;
         let mut sys = System::new(&g, Partitioner::new(256, 256), algo, cfg);
-        let sync_result = sys.run();
+        let sync_result = sys.run_to_outcome(None).unwrap();
 
         let (want, golden_iters) = golden::run_forced_sync(&algo, &g);
         assert_eq!(sync_result.values, want);
@@ -1162,7 +1150,7 @@ mod tests {
         let mut cfg = SystemConfig::small();
         cfg.max_iterations = Some(1);
         let mut sys = System::new(&g, Partitioner::new(512, 512), Algorithm::pagerank(), cfg);
-        let r = sys.run();
+        let r = sys.run_to_outcome(None).unwrap();
         assert!(
             r.stats.get("raw_stalls") > 100,
             "expected heavy RAW stalling, got {}",
@@ -1175,7 +1163,7 @@ mod tests {
             Algorithm::Scc,
             SystemConfig::small(),
         );
-        let r2 = sys.run();
+        let r2 = sys.run_to_outcome(None).unwrap();
         assert_eq!(r2.stats.get("raw_stalls"), 0);
     }
 
@@ -1185,7 +1173,7 @@ mod tests {
         let mut cfg = SystemConfig::small();
         cfg.moms_trace_cap = 100_000;
         let mut sys = System::new(&g, Partitioner::new(256, 256), Algorithm::Scc, cfg);
-        let result = sys.run();
+        let result = sys.run_to_outcome(None).unwrap();
         assert!(!result.moms_trace.is_empty(), "trace recorded");
         assert_eq!(
             result.moms_trace.len() as u64,
@@ -1205,7 +1193,9 @@ mod tests {
     #[test]
     fn gteps_accounting_is_consistent() {
         let g = GraphSpec::rmat(8, 4).build(29);
-        let result = small_system(&g, Algorithm::bfs(0)).run();
+        let result = small_system(&g, Algorithm::bfs(0))
+            .run_to_outcome(None)
+            .unwrap();
         let epc = result.edges_per_cycle();
         assert!(epc > 0.0);
         assert!((result.gteps(200.0) - epc * 0.2).abs() < 1e-12);

@@ -30,7 +30,7 @@ fn main() {
                 )
             },
             |mut sys| {
-                let r = sys.run();
+                let r = sys.run_to_outcome(None).unwrap();
                 std::hint::black_box(r.cycles)
             },
         );

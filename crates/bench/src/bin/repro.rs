@@ -15,10 +15,10 @@
 //!
 //! experiments: table1 table2 table3 fig11 fig12 fig13 fig14 fig15
 //!              fig16 fig17 ablate sweep syncasync paperscale related
-//!              explain fabric chaos-fabric serve perf fuzz all
+//!              explain fabric chaos-fabric serve fuzz all
 //! --full           all 12 benchmarks and all 7 architectures (slow)
 //! --shrink N       extra graph shrink factor (default 4; 1 = largest scale)
-//! --jobs N         worker threads for engine-driven experiments
+//! --jobs N         worker threads for the simulated points
 //!                  (default: one per core)
 //! --timeout-secs S per-point wall-clock budget; expired points become
 //!                  `timed_out` rows instead of hanging the run
@@ -34,7 +34,14 @@
 //!                  in .csv; with several points, PATH-<point> files
 //! --trace-level L  events (default with --trace) or counters
 //! --trace-window START:END  record events only in [START, END) cycles
-//! --smoke          (perf only) run just the pinned CI smoke point
+//!
+//! Every experiment returns its text, rows, traces and failures as one
+//! value, and one export path prints the text, writes `--out` and
+//! `--trace`, and exits 1 with a one-line summary when any point failed
+//! (panic or watchdog stall; timed-out points are a requested bound, not
+//! a failure). Every simulated point runs on the engine's worker pool
+//! (`--jobs`); `--timeout-secs` bounds every single-device and fabric
+//! point, and each `fuzz` case.
 //!
 //! `fabric` sweeps the multi-accelerator scale-out space (device count ×
 //! link bandwidth × topology, BFS and PageRank) and exports per-point
@@ -49,19 +56,13 @@
 //! for its per-device compute phase (0 = auto, 1 = sequential); every
 //! exported byte is identical across thread counts, and requests that
 //! would oversubscribe the host (jobs × threads > cores) are clamped
-//! with a warning.
+//! once at start-up, with a warning.
 //!
 //! `chaos-fabric` runs the reliability sweep: BFS under every graceful
 //! link-fault profile plus sustained loss and duplication on 2- and
 //! 4-device fabrics (each row validated golden-exact), plus black-hole
 //! rows that complete through checkpoint rollback. A row that stalls
 //! anyway exits nonzero with a one-line structured summary.
-//!
-//! `perf` measures host throughput (simulated cycles and executed host
-//! ticks per wall-clock second, per point) and writes `BENCH_<date>.json`
-//! (or `--out PATH`). Wall-clock numbers live only in that report — the
-//! regular experiment exports stay byte-identical across hosts and
-//! `--jobs` values.
 //!
 //! `fuzz` runs the deterministic conformance fuzzer (`bench::fuzz`):
 //! random graph × algorithm × architecture × fabric × fault cases
@@ -99,16 +100,17 @@
 //! --max-queue N     admission-control queue bound (default 16)
 //!
 //! A golden-reference divergence or scheduler stall exits 1 with a
-//! one-line summary; watchdog trips are reported per row and also
-//! exit 1 after every requested export is written. Unknown flags print
-//! the invoked subcommand's own usage (exit 2) instead of the full
-//! flag universe.
+//! one-line summary; watchdog trips are reported per row and count as
+//! failures, exiting 1 after every requested export is written. Unknown
+//! flags print the invoked subcommand's own usage (exit 2) instead of the
+//! full flag universe.
 //! ```
 
 use bench::cli::{CommonFlags, Cursor};
-use bench::engine;
-use bench::experiments::{self};
+use bench::experiments;
 use bench::fuzz;
+use bench::Report;
+use simkit::record::Record;
 use simkit::trace::{to_chrome_json, to_csv, TraceReport};
 
 fn main() {
@@ -119,17 +121,12 @@ fn main() {
     let mut cur = Cursor::new(raw);
     let mut flags = CommonFlags::new();
     let mut which: Option<String> = None;
-    let mut smoke = false;
     let mut fopts = fuzz::FuzzOptions::default();
     let mut fuzz_replay: Option<String> = None;
     let mut any_fuzz_flag = false;
     let mut sopts = experiments::serve::ServeSweepOptions::default();
     let mut any_serve_flag = false;
     let mut seed_set = false;
-    let fuzz_value = |cur: &mut Cursor, name: &str| -> String {
-        cur.next()
-            .unwrap_or_else(|| usage(&format!("{name} needs a value")))
-    };
     while let Some(tok) = cur.next() {
         match flags.accept(&tok, &mut cur) {
             Ok(true) => continue,
@@ -137,71 +134,50 @@ fn main() {
             Err(msg) => usage(&msg),
         }
         match tok.as_str() {
-            "--smoke" => smoke = true,
             "--seed" => {
                 // Shared by `fuzz` (case seed) and `serve` (workload
                 // seed); the applicability audit below rejects it for
                 // every other subcommand.
                 seed_set = true;
-                let seed = fuzz_value(&mut cur, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed wants an unsigned integer"));
+                let seed = flag(&mut cur, "--seed wants an unsigned integer");
                 fopts.seed = seed;
                 sopts.seed = seed;
             }
             "--requests" => {
                 any_serve_flag = true;
-                sopts.requests = fuzz_value(&mut cur, "--requests")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--requests wants an unsigned integer"));
+                sopts.requests = flag(&mut cur, "--requests wants an unsigned integer");
             }
             "--slots" => {
                 any_serve_flag = true;
-                sopts.slots = fuzz_value(&mut cur, "--slots")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--slots wants a nonzero count"));
+                sopts.slots = flag(&mut cur, "--slots wants a nonzero count");
             }
             "--slot-devices" => {
                 any_serve_flag = true;
-                sopts.slot_devices = fuzz_value(&mut cur, "--slot-devices")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--slot-devices wants a nonzero count"));
+                sopts.slot_devices = flag(&mut cur, "--slot-devices wants a nonzero count");
             }
             "--quantum" => {
                 any_serve_flag = true;
-                sopts.quantum = fuzz_value(&mut cur, "--quantum")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--quantum wants an iteration count"));
+                sopts.quantum = flag(&mut cur, "--quantum wants an iteration count");
             }
             "--max-queue" => {
                 any_serve_flag = true;
-                sopts.max_queue = fuzz_value(&mut cur, "--max-queue")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-queue wants an unsigned integer"));
+                sopts.max_queue = flag(&mut cur, "--max-queue wants an unsigned integer");
             }
             "--budget-secs" => {
                 any_fuzz_flag = true;
-                fopts.budget_secs = Some(
-                    fuzz_value(&mut cur, "--budget-secs")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--budget-secs wants an unsigned integer")),
-                );
+                fopts.budget_secs = Some(flag(&mut cur, "--budget-secs wants an unsigned integer"));
             }
             "--cases" => {
                 any_fuzz_flag = true;
-                fopts.max_cases = Some(
-                    fuzz_value(&mut cur, "--cases")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--cases wants an unsigned integer")),
-                );
+                fopts.max_cases = Some(flag(&mut cur, "--cases wants an unsigned integer"));
             }
             "--replay" => {
                 any_fuzz_flag = true;
-                fuzz_replay = Some(fuzz_value(&mut cur, "--replay"));
+                fuzz_replay = Some(flag(&mut cur, "--replay needs a value"));
             }
             "--corpus" => {
                 any_fuzz_flag = true;
-                fopts.corpus_dir = fuzz_value(&mut cur, "--corpus");
+                fopts.corpus_dir = flag(&mut cur, "--corpus needs a value");
             }
             "--inject-corruption" => {
                 any_fuzz_flag = true;
@@ -227,179 +203,73 @@ fn main() {
     if seed_set && which != "fuzz" && which != "serve" {
         usage("--seed only applies to the fuzz and serve experiments");
     }
-    let scope = flags.scope;
-    engine::set_global_config(flags.engine.clone());
-
-    // `fuzz` owns its whole lifecycle (budgeted loop, shrinking, corpus
-    // files) and reports failures through the same one-line + exit-1
-    // convention as the fabric sweeps.
-    if which == "fuzz" {
-        if let Some(t) = flags.engine.timeout {
-            fopts.per_case_timeout = t;
-        }
-        let run = match fuzz_replay {
-            Some(spec) => fuzz::replay(&spec, &fopts),
-            None => fuzz::run(&fopts),
-        };
-        print!("{}", run.unwrap_or_else(|msg| die(&msg)));
-        return;
+    if let Some(warning) = flags.engine.clamp_sim_threads() {
+        eprintln!("warning: {warning}");
     }
-
-    // `perf` owns its output file (host-timing JSON, not point records)
-    // and runs nothing through the engine recorder.
-    if which == "perf" {
-        print!("{}", bench::perf::run(scope, smoke, flags.out_path));
-        return;
-    }
-    if smoke {
-        usage("--smoke only applies to the perf experiment");
-    }
-
-    // `fabric` and `chaos-fabric` export their own richer record types
-    // (link/reliability columns), so they render `--out` directly instead
-    // of going through the recorder. A stalled or timed-out point becomes
-    // a one-line structured error and a nonzero exit, not a panic.
-    if which == "fabric" {
-        let points = experiments::fabric::sweep(scope).unwrap_or_else(|msg| die(&msg));
-        print!("{}", experiments::fabric::render(&points));
-        if let Some(path) = flags.out_path {
-            write_or_die(&path, &flags.format.render(&points));
-            eprintln!("wrote {} result rows to {path}", points.len());
-        }
-        return;
-    }
-    if which == "chaos-fabric" {
-        let points = experiments::chaos_fabric::sweep(scope).unwrap_or_else(|msg| die(&msg));
-        print!("{}", experiments::chaos_fabric::render(&points));
-        if let Some(path) = flags.out_path {
-            write_or_die(&path, &flags.format.render(&points));
-            eprintln!("wrote {} result rows to {path}", points.len());
-        }
-        return;
-    }
-
-    // `serve` exports its own saturation-curve record type and collects
-    // its traces per rate point, so it renders `--out`/`--trace`
-    // directly like the fabric sweeps. Golden divergence aborts the
-    // sweep; watchdog trips exit 1 after every export is written.
-    if which == "serve" {
-        let (points, traces) =
-            experiments::serve::sweep(scope, &sopts).unwrap_or_else(|msg| die(&msg));
-        print!("{}", experiments::serve::render(&points));
-        if let Some(path) = flags.out_path {
-            write_or_die(&path, &flags.format.render(&points));
-            eprintln!("wrote {} result rows to {path}", points.len());
-        }
-        if let Some(path) = flags.trace_path {
-            if traces.is_empty() {
-                eprintln!("warning: no serve traces captured");
+    let (scope, eng) = (flags.scope, &flags.engine);
+    match which.as_str() {
+        // `fuzz` owns its loop (budget, shrinking, corpus files); a
+        // violated oracle aborts with the one-line replay command.
+        "fuzz" => {
+            if let Some(t) = eng.timeout {
+                fopts.per_case_timeout = t;
             }
-            let many = traces.len() > 1;
-            for (label, report) in &traces {
-                let file = if many {
-                    suffixed_path(&path, label)
-                } else {
-                    path.clone()
-                };
-                write_trace(&file, report);
-            }
+            export(
+                match fuzz_replay {
+                    Some(spec) => fuzz::replay(&spec, &fopts),
+                    None => fuzz::run(&fopts),
+                },
+                &flags,
+            );
         }
-        let trips: u64 = points.iter().map(|p| p.watchdog_trips).sum();
-        if trips > 0 {
-            die(&format!(
-                "{trips} device watchdog trip(s) during the serve sweep; see the rows above"
-            ));
-        }
-        return;
+        "fabric" => export(experiments::fabric::run(scope, eng), &flags),
+        "chaos-fabric" => export(experiments::chaos_fabric::run(scope, eng), &flags),
+        "serve" => export(experiments::serve::run(scope, &sopts, eng), &flags),
+        name => match experiments::run(name, scope, eng) {
+            Some(report) => export(Ok(report), &flags),
+            None => usage(&format!("unknown experiment {name}")),
+        },
     }
+}
 
-    if flags.out_path.is_some() {
-        engine::enable_recording();
+/// The one export path every experiment shares: prints the report's
+/// text, writes `--out` and `--trace`, then — after every export is
+/// written — exits 1 with a one-line summary if any point failed. A sweep
+/// that could not continue (`Err`) exits 1 with its one-line summary and
+/// exports nothing.
+fn export<R: Record>(report: Result<Report<R>, String>, flags: &CommonFlags) {
+    let report = report.unwrap_or_else(|msg| die(&msg));
+    print!("{}", report.text);
+    if let Some(path) = &flags.out_path {
+        write_or_die(path, &flags.format.render(&report.rows));
+        eprintln!("wrote {} result rows to {path}", report.rows.len());
     }
-    if flags.trace_path.is_some() {
-        engine::enable_trace_capture();
-    }
-
-    let run_one = |name: &str| match name {
-        "table1" => print!("{}", experiments::table1::run()),
-        "table2" => print!("{}", experiments::table2::run(scope)),
-        "table3" => print!("{}", experiments::table3::run(scope)),
-        "fig11" => print!("{}", experiments::fig11::run(scope)),
-        "fig12" => print!("{}", experiments::fig12::run(scope)),
-        "fig13" => print!("{}", experiments::fig13::run(scope)),
-        "fig14" => print!("{}", experiments::fig14::run(scope)),
-        "fig15" => print!("{}", experiments::fig15::run(scope)),
-        "fig16" => print!("{}", experiments::fig16::run(scope)),
-        "fig17" => print!("{}", experiments::fig17::run()),
-        "ablate" => print!("{}", experiments::ablate::run()),
-        "sweep" => print!("{}", bench::experiments::sweep::run(scope)),
-        "syncasync" => print!("{}", experiments::syncasync::run(scope)),
-        "paperscale" => print!("{}", experiments::paperscale::run()),
-        "related" => print!("{}", experiments::related_work::run(scope)),
-        "explain" => print!("{}", bench::explain::run(scope)),
-        "fabric" | "chaos-fabric" | "serve" | "perf" => {
-            unreachable!("dispatched before the engine recorder")
-        }
-        other => usage(&format!("unknown experiment {other}")),
-    };
-
-    if which == "all" {
-        for name in [
-            "table1",
-            "table2",
-            "table3",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "ablate",
-            "syncasync",
-            "paperscale",
-            "related",
-        ] {
-            run_one(name);
-            println!();
-        }
-    } else {
-        run_one(&which);
-    }
-
-    if let Some(path) = flags.out_path {
-        let results = engine::take_recorded().unwrap_or_default();
-        write_or_die(&path, &flags.format.render(&results));
-        eprintln!("wrote {} result rows to {path}", results.len());
-    }
-
-    if let Some(path) = flags.trace_path {
-        let traces = engine::take_traces().unwrap_or_default();
-        if traces.is_empty() {
+    if let Some(path) = &flags.trace_path {
+        if report.traces.is_empty() {
             eprintln!("warning: no traces captured (did every point fail?)");
         }
-        let many = traces.len() > 1;
-        for (label, report) in &traces {
+        let many = report.traces.len() > 1;
+        for (label, trace) in &report.traces {
             let file = if many {
-                suffixed_path(&path, label)
+                suffixed_path(path, label)
             } else {
                 path.clone()
             };
-            write_trace(&file, report);
+            write_trace(&file, trace);
         }
     }
-
-    // Same convention as the fabric sweeps and `fuzz`: a run that
-    // produced `failed` rows (panic or watchdog stall) exits nonzero
-    // with a one-line summary, after every requested export is written.
-    // Timed-out points don't count — an expiring `--timeout-secs`
-    // budget is a requested bound, not an engine failure.
-    let failed = engine::failed_points();
-    if failed > 0 {
+    if let Some(first) = report.failures.first() {
         die(&format!(
-            "{failed} point(s) failed (panic or watchdog stall); see the rows marked `failed` above"
+            "{} point(s) failed (panic or watchdog stall); first: {first}",
+            report.failures.len()
         ));
     }
+}
+
+/// Consumes the next token as the value of an extra flag, or exits with
+/// the usage text and `err`.
+fn flag<T: std::str::FromStr>(cur: &mut Cursor, err: &str) -> T {
+    cur.value(err).unwrap_or_else(|msg| usage(&msg))
 }
 
 fn write_or_die(path: &str, rendered: &str) {
@@ -432,7 +302,7 @@ fn write_trace(path: &str, report: &TraceReport) {
 }
 
 /// Inserts a sanitized point label before the path's extension:
-/// `out.json` + `WT-SCC-2lvl 16/16` → `out-WT-SCC-2lvl_16_16.json`.
+/// `out.json` + `WT-scc-2lvl 16/16-4ch` → `out-WT-scc-2lvl_16_16-4ch.json`.
 fn suffixed_path(path: &str, label: &str) -> String {
     let clean: String = label
         .chars()

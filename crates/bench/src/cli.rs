@@ -191,7 +191,7 @@ shared flags:
 ";
 
 /// Renders the usage text for `sub`: subcommand-specific for the
-/// subcommands that take extra flags (`serve`, `fuzz`, `perf`), the
+/// subcommands that take extra flags (`serve`, `fuzz`), the
 /// generic experiment-list text for everything else (including a
 /// missing or unknown subcommand). The `repro` binary prints this on
 /// exit code 2, so an unknown flag names the flags of the subcommand
@@ -223,18 +223,13 @@ fuzz flags:
   [--inject-corruption]  test hook: corrupt results so oracles fire
 {SHARED_USAGE}"
         ),
-        Some("perf") => format!(
-            "usage: repro perf [--smoke] [shared flags]
-  [--smoke]  run just the pinned CI smoke point
-{SHARED_USAGE}"
-        ),
         _ => format!(
             "usage: repro <experiment> [flags]
 experiments: table1 table2 table3 fig11 fig12 fig13 fig14 fig15 fig16
              fig17 ablate sweep syncasync paperscale related explain
-             fabric chaos-fabric serve perf fuzz all
+             fabric chaos-fabric serve fuzz all
 `repro <experiment> --help-like output`: rerun with the experiment name
-for its specific flags (serve, fuzz, and perf take extra flags)
+for its specific flags (serve and fuzz take extra flags)
 {SHARED_USAGE}"
         ),
     }

@@ -1,18 +1,23 @@
-//! Parallel experiment-execution engine.
+//! Parallel experiment-execution engine and the value every experiment
+//! returns.
 //!
 //! Experiments enumerate their (benchmark × algorithm × architecture)
 //! matrix as [`PointSpec`]s; [`run_points`] fans them out over a worker
 //! pool and returns one [`PointResult`] per point, **in submission order**.
+//! Each experiment renders its table from those results and hands back a
+//! [`Report`]: its text, its rows, its traces, and its failures. The
+//! `repro` binary exports every report the same way.
 //!
 //! # Determinism
 //!
 //! Results are bit-identical to a sequential run and independent of the
 //! worker count: each point's simulation is single-threaded and seeded
 //! only by values inside its own spec (graph seed, preprocessing seed),
-//! workers claim points by atomic index and write into per-index slots, and
-//! host-timing fields are excluded from serialization. The only shared
+//! workers claim points by atomic index and write into per-index slots
+//! ([`par_map`]), and results record no host timing. The only shared
 //! mutable state is a memoization cache of prepared graphs, whose entries
-//! are themselves deterministic functions of the key.
+//! are themselves deterministic functions of the key. The engine keeps no
+//! process-global state.
 //!
 //! # Timeouts
 //!
@@ -27,12 +32,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use accel::MetricsSnapshot;
+use accel::{MetricsSnapshot, RecoveryConfig, RunConfig};
 use algos::Algorithm;
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::Preprocess;
 use graph::CooGraph;
 use simkit::record::{Record, Value};
+use simkit::trace::TraceReport;
 
 use crate::runner::{prepare_graph, run_graph_outcome, Row, RunFailure, RunSpec};
 
@@ -73,9 +79,10 @@ impl Outcome {
 /// The structured result of one experiment point.
 ///
 /// Identity fields are always present; measurement fields are `None` when
-/// the point timed out. `wall_seconds` is host timing — it is reported in
-/// progress output but deliberately excluded from [`Record::fields`], so
-/// exports are byte-identical across runs and worker counts.
+/// the point timed out or failed. `trace` is deliberately excluded from
+/// [`Record::fields`]: it is exported through `--trace`. Nothing here is
+/// host timing, so exports are byte-identical across runs and worker
+/// counts.
 #[derive(Debug, Clone)]
 pub struct PointResult {
     /// Benchmark tag (Table II).
@@ -103,48 +110,36 @@ pub struct PointResult {
     /// What went wrong when `outcome` is [`Outcome::Failed`]: the panic
     /// message or the watchdog's stall summary.
     pub error: Option<String>,
-    /// Host wall-clock seconds spent on this point (prepare + simulate).
-    pub wall_seconds: f64,
+    /// The point's trace (empty unless tracing was on and the point
+    /// completed).
+    pub trace: TraceReport,
 }
 
 impl PointResult {
     /// Builds the result for `point` from a finished (or failed) run.
     pub fn new(
         point: &PointSpec,
-        run: &Result<(Row, MetricsSnapshot), RunFailure>,
-        wall_seconds: f64,
+        run: Result<(Row, MetricsSnapshot, TraceReport), RunFailure>,
     ) -> PointResult {
-        PointResult::from_outcome(
-            point.bench.tag(),
-            point.algo,
-            &point.spec,
-            run,
-            wall_seconds,
-        )
-    }
-
-    /// Builds a result from the pieces [`run_graph_outcome`] works with,
-    /// so any run path can feed the recorder.
-    pub fn from_outcome(
-        bench: &str,
-        algo: Algorithm,
-        spec: &RunSpec,
-        run: &Result<(Row, MetricsSnapshot), RunFailure>,
-        wall_seconds: f64,
-    ) -> PointResult {
-        let (row, metrics, outcome, error) = match run {
-            Ok((row, metrics)) => (
-                Some(row.clone()),
-                Some(metrics.clone()),
-                Outcome::Completed,
+        let (row, metrics, trace, outcome, error) = match run {
+            Ok((row, metrics, trace)) => {
+                (Some(row), Some(metrics), trace, Outcome::Completed, None)
+            }
+            Err(RunFailure::TimedOut) => {
+                (None, None, TraceReport::default(), Outcome::TimedOut, None)
+            }
+            Err(RunFailure::Failed(msg)) => (
                 None,
+                None,
+                TraceReport::default(),
+                Outcome::Failed,
+                Some(msg),
             ),
-            Err(RunFailure::TimedOut) => (None, None, Outcome::TimedOut, None),
-            Err(RunFailure::Failed(msg)) => (None, None, Outcome::Failed, Some(msg.clone())),
         };
+        let spec = &point.spec;
         PointResult {
-            bench: bench.to_owned(),
-            algo: algo.name().to_owned(),
+            bench: point.bench.tag().to_owned(),
+            algo: point.algo.name().to_owned(),
             arch: spec.arch.name.to_owned(),
             channels: spec.channels,
             caches: spec.caches.name().to_owned(),
@@ -155,8 +150,37 @@ impl PointResult {
             row,
             metrics,
             error,
-            wall_seconds,
+            trace,
         }
+    }
+
+    /// A label naming every identity field, so no two distinct points of
+    /// one run share it (trace files and failure lines are keyed by it).
+    pub fn label(&self) -> String {
+        format!(
+            "{}-{}-{}-{}ch-{}-{}-shrink{}-{}",
+            self.bench,
+            self.algo,
+            self.arch,
+            self.channels,
+            self.caches,
+            self.pre,
+            self.shrink,
+            self.execution
+        )
+    }
+
+    /// One figure-table cell, right-aligned in `width`: `value(row)` when
+    /// the point completed, else `timeout` or `failed`. Every figure
+    /// table renders its cells through here, so a failed point can never
+    /// pass for a timed-out one.
+    pub fn cell(&self, width: usize, value: impl FnOnce(&Row) -> String) -> String {
+        let text = match (&self.row, self.outcome) {
+            (Some(row), _) => value(row),
+            (None, Outcome::TimedOut) => "timeout".to_owned(),
+            (None, _) => "failed".to_owned(),
+        };
+        format!("{text:>width$}")
     }
 
     /// Deterministic ordering key over the identity fields, used to
@@ -272,10 +296,10 @@ pub struct EngineConfig {
     /// 0 disables checkpoint/rollback recovery.
     pub checkpoint_interval: u32,
     /// Host worker threads for each fabric point's compute phase
-    /// (`--sim-threads`); 0 = auto (`min(devices, cores)`). The fabric
-    /// sweeps clamp `jobs × sim_threads` to the available parallelism so
-    /// engine-level and shard-level threading cannot oversubscribe the
-    /// host. Results are byte-identical for every value.
+    /// (`--sim-threads`); 0 = auto (`min(devices, cores)`).
+    /// [`clamp_sim_threads`](Self::clamp_sim_threads) bounds
+    /// `jobs × sim_threads` by the available parallelism once, at
+    /// start-up. Results are byte-identical for every value.
     pub sim_threads: usize,
 }
 
@@ -290,133 +314,135 @@ impl EngineConfig {
                 .unwrap_or(1)
         }
     }
+
+    /// The wall-clock deadline of a point starting now (`None` without a
+    /// `timeout`).
+    pub fn deadline(&self) -> Option<Instant> {
+        self.timeout.map(|t| Instant::now() + t)
+    }
+
+    /// Applies the run-level flags to one point's run config: DRAM faults,
+    /// the watchdog override and tracing, plus the fabric-only link
+    /// faults, retransmission timeout, checkpoint recovery and shard
+    /// threads (a single-device run ignores those).
+    pub fn apply(&self, rc: &mut RunConfig) {
+        rc.fault = self.fault;
+        if let Some(wc) = self.watchdog_cycles {
+            rc.watchdog_cycles = (wc > 0).then_some(wc);
+        }
+        rc.trace = self.trace;
+        rc.link.fault = self.link_fault;
+        if let Some(rto) = self.link_retry {
+            rc.link.retry.rto = rto;
+            rc.link.retry.rto_cap = rc.link.retry.rto_cap.max(rto);
+        }
+        if self.checkpoint_interval > 0 {
+            rc.recovery = Some(RecoveryConfig {
+                checkpoint_interval: self.checkpoint_interval,
+                ..RecoveryConfig::default()
+            });
+        }
+        rc.sim_threads = self.sim_threads;
+    }
+
+    /// Resolves `sim_threads` so that engine jobs × shard threads never
+    /// oversubscribe the host: each of the `jobs` concurrent points gets
+    /// at most `cores / jobs` shard threads. `0` (auto) resolves to that
+    /// budget, which the fabric further caps at its device count; an
+    /// explicit request beyond it is clamped, and the returned warning
+    /// says so.
+    pub fn clamp_sim_threads(&mut self) -> Option<String> {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let jobs = self.effective_jobs().max(1);
+        let budget = (cores / jobs).max(1);
+        let requested = self.sim_threads;
+        self.sim_threads = if requested == 0 {
+            budget
+        } else {
+            requested.min(budget)
+        };
+        (requested > budget).then(|| {
+            format!(
+                "--sim-threads {requested} x --jobs {jobs} oversubscribes {cores} available \
+                 cores; clamping to {budget} shard threads per point"
+            )
+        })
+    }
 }
 
-/// Process-wide engine settings and result recorder.
+/// What one experiment returns: the text it prints, the rows `--out`
+/// exports, the labelled traces `--trace` writes, and one line per failed
+/// point. The `repro` binary prints, writes and exits the same way for
+/// every experiment, so none of them writes an export or sets the exit
+/// code.
 ///
-/// The `repro` binary parses `--jobs`/`--timeout-secs` once and installs
-/// them here so every experiment module picks them up without threading a
-/// config through each `run(scope)` signature; `--out` enables the
-/// recorder, which captures a [`PointResult`] for every point that flows
-/// through [`run_graph_outcome`] — i.e. every simulated point of
-/// every subcommand, whether or not it went through the parallel engine.
-struct GlobalState {
-    config: EngineConfig,
-    recorder: Option<Vec<PointResult>>,
-    traces: Option<Vec<(String, simkit::TraceReport)>>,
+/// Failed points stay in `rows` (as `failed` rows) and also land in
+/// `failures`; a sweep that cannot continue at all returns `Err` instead
+/// of a report.
+#[derive(Debug, Clone)]
+pub struct Report<R = PointResult> {
+    /// The rendered table or summary.
+    pub text: String,
+    /// Structured rows for `--out`.
+    pub rows: Vec<R>,
+    /// `(label, trace)` pairs for `--trace`, sorted by label.
+    pub traces: Vec<(String, TraceReport)>,
+    /// One line per failed point (panic or watchdog stall). Timed-out
+    /// points do not count: an expiring `--timeout-secs` budget is a
+    /// requested bound, not a failure.
+    pub failures: Vec<String>,
 }
 
-static GLOBAL: Mutex<GlobalState> = Mutex::new(GlobalState {
-    config: EngineConfig {
-        jobs: 0,
-        timeout: None,
-        progress: false,
-        fault: simkit::FaultConfig {
-            profile: simkit::FaultProfile::None,
-            seed: 0,
-        },
-        watchdog_cycles: None,
-        trace: simkit::TraceConfig {
-            level: simkit::trace::TraceLevel::Off,
-            capacity: 1 << 16,
-            window: None,
-            sample_period: 1024,
-        },
-        link_fault: simkit::FaultConfig {
-            profile: simkit::FaultProfile::None,
-            seed: 0,
-        },
-        link_retry: None,
-        checkpoint_interval: 0,
-        sim_threads: 0,
-    },
-    recorder: None,
-    traces: None,
-});
-
-/// Process-wide count of points that ended in [`Outcome::Failed`]
-/// (panic or watchdog stall). The `repro` binary checks this after the
-/// run and exits nonzero with a one-line summary, so a sweep whose table
-/// prints `failed` rows cannot still report success to CI. Timed-out
-/// points are excluded: a `--timeout-secs` budget expiring is a
-/// requested bound, not an engine failure.
-static FAILED_POINTS: AtomicUsize = AtomicUsize::new(0);
-
-/// Records one engine-level point failure (see [`failed_points`]).
-pub(crate) fn note_point_failure() {
-    FAILED_POINTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// How many points have failed (panicked or stalled) so far.
-pub fn failed_points() -> usize {
-    FAILED_POINTS.load(Ordering::Relaxed)
-}
-
-/// Installs the process-wide engine configuration.
-pub fn set_global_config(cfg: EngineConfig) {
-    GLOBAL.lock().unwrap().config = cfg;
-}
-
-/// The process-wide engine configuration (defaults: auto jobs, no
-/// timeout, no progress output).
-pub fn global_config() -> EngineConfig {
-    GLOBAL.lock().unwrap().config.clone()
-}
-
-/// Starts capturing every simulated point into the global recorder.
-pub fn enable_recording() {
-    let mut g = GLOBAL.lock().unwrap();
-    if g.recorder.is_none() {
-        g.recorder = Some(Vec::new());
+impl<R> Report<R> {
+    /// A report with text only (experiments that simulate no points).
+    pub fn text(text: String) -> Self {
+        Report {
+            text,
+            rows: Vec::new(),
+            traces: Vec::new(),
+            failures: Vec::new(),
+        }
     }
 }
 
-/// Appends to the global recorder, if enabled. Called by the runner for
-/// every simulated point.
-pub fn maybe_record(result: impl FnOnce() -> PointResult) {
-    let mut g = GLOBAL.lock().unwrap();
-    if let Some(rec) = g.recorder.as_mut() {
-        rec.push(result());
+impl Report {
+    /// Wraps engine results: each traced point's trace moves into
+    /// `traces` under [`PointResult::label`], each failed point adds a
+    /// failure line, and rows are sorted by [`PointResult::sort_key`] so
+    /// the export is independent of the order the experiment ran them in.
+    pub fn from_points(text: String, mut rows: Vec<PointResult>) -> Self {
+        let mut report = Report::text(text);
+        for r in &mut rows {
+            if !r.trace.is_empty() {
+                report
+                    .traces
+                    .push((r.label(), std::mem::take(&mut r.trace)));
+            }
+            if let Some(err) = r.error.as_deref() {
+                report.failures.push(format!("{}: {err}", r.label()));
+            }
+        }
+        report.rows = rows;
+        report.normalize();
+        report
     }
-}
 
-/// Drains the global recorder, sorted by [`PointResult::sort_key`] so the
-/// output is independent of completion order (and therefore of `--jobs`).
-/// Returns `None` when recording was never enabled.
-pub fn take_recorded() -> Option<Vec<PointResult>> {
-    let mut results = GLOBAL.lock().unwrap().recorder.take()?;
-    results.sort_by_cached_key(|r| r.sort_key());
-    Some(results)
-}
-
-/// Starts capturing per-point trace reports (the `repro --trace PATH`
-/// path). Only points simulated with an active trace level produce one.
-pub fn enable_trace_capture() {
-    let mut g = GLOBAL.lock().unwrap();
-    if g.traces.is_none() {
-        g.traces = Some(Vec::new());
+    /// Appends another report (the `all` run), keeping rows and traces in
+    /// canonical order.
+    pub fn append(&mut self, other: Report) {
+        self.text.push_str(&other.text);
+        self.rows.extend(other.rows);
+        self.traces.extend(other.traces);
+        self.failures.extend(other.failures);
+        self.normalize();
     }
-}
 
-/// Appends one labelled trace report to the global capture, if enabled.
-/// Called by the runner for every traced point.
-pub fn maybe_record_trace(
-    label: impl FnOnce() -> String,
-    report: impl FnOnce() -> simkit::TraceReport,
-) {
-    let mut g = GLOBAL.lock().unwrap();
-    if let Some(traces) = g.traces.as_mut() {
-        traces.push((label(), report()));
+    fn normalize(&mut self) {
+        self.rows.sort_by_cached_key(|r| r.sort_key());
+        self.traces.sort_by(|a, b| a.0.cmp(&b.0));
     }
-}
-
-/// Drains the captured traces, sorted by label so the output is
-/// independent of completion order. Returns `None` when trace capture was
-/// never enabled.
-pub fn take_traces() -> Option<Vec<(String, simkit::TraceReport)>> {
-    let mut traces = GLOBAL.lock().unwrap().traces.take()?;
-    traces.sort_by(|a, b| a.0.cmp(&b.0));
-    Some(traces)
 }
 
 type GraphKey = (BenchmarkId, Preprocess, u64, bool);
@@ -479,16 +505,45 @@ impl Progress {
     }
 }
 
-/// Runs every point and returns results in submission order.
+/// Runs `f` on every item over `jobs` worker threads and returns the
+/// results in item order.
 ///
-/// Workers claim points through an atomic cursor and write each result
-/// into its own slot, so the output order (and content — see the module
-/// docs) is independent of scheduling.
-pub fn run_points(points: &[PointSpec], cfg: &EngineConfig) -> Vec<PointResult> {
-    let jobs = cfg.effective_jobs().min(points.len().max(1));
+/// Workers claim items through an atomic cursor and write each result
+/// into its own slot, so the output order (and, for deterministic `f`,
+/// the content) is independent of scheduling and of `jobs`.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let jobs = jobs.clamp(1, items.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<PointResult>>> =
-        (0..points.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(i, item);
+                *slots[i]
+                    .lock()
+                    .expect("slot locks are never held across a panic") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot locks are never held across a panic")
+                .expect("every item ran")
+        })
+        .collect()
+}
+
+/// Runs every point and returns results in submission order (see
+/// [`par_map`]).
+pub fn run_points(points: &[PointSpec], cfg: &EngineConfig) -> Vec<PointResult> {
     let cache = GraphCache::default();
     let progress = Mutex::new(Progress {
         total: points.len(),
@@ -496,38 +551,26 @@ pub fn run_points(points: &[PointSpec], cfg: &EngineConfig) -> Vec<PointResult> 
         completed: 0,
         in_flight: Vec::new(),
     });
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let label = format!(
-                    "{}/{}/{}",
-                    point.bench.tag(),
-                    point.algo.name(),
-                    point.spec.arch.name
-                );
-                if cfg.progress {
-                    let mut p = progress.lock().unwrap();
-                    p.in_flight.push((i, label.clone(), Instant::now()));
-                }
-                let result = run_one(point, &cache, cfg.timeout);
-                *slots[i].lock().unwrap() = Some(result);
-                if cfg.progress {
-                    let mut p = progress.lock().unwrap();
-                    p.in_flight.retain(|(idx, _, _)| *idx != i);
-                    p.completed += 1;
-                    p.report();
-                }
-            });
+    par_map(points, cfg.effective_jobs(), |i, point| {
+        if cfg.progress {
+            let label = format!(
+                "{}/{}/{}",
+                point.bench.tag(),
+                point.algo.name(),
+                point.spec.arch.name
+            );
+            let mut p = progress.lock().unwrap();
+            p.in_flight.push((i, label, Instant::now()));
         }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("all points executed"))
-        .collect()
+        let result = run_one(point, &cache, cfg);
+        if cfg.progress {
+            let mut p = progress.lock().unwrap();
+            p.in_flight.retain(|(idx, _, _)| *idx != i);
+            p.completed += 1;
+            p.report();
+        }
+        result
+    })
 }
 
 /// Renders a caught panic payload into a one-line message.
@@ -541,13 +584,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_one(point: &PointSpec, cache: &GraphCache, timeout: Option<Duration>) -> PointResult {
-    let t = Instant::now();
-    // A panicking point (bad spec, graph-prep failure, simulator bug)
-    // becomes a `Failed` row instead of tearing down the whole sweep.
-    // The closure only touches per-point state plus the graph cache,
-    // whose entries are immutable once inserted, so resuming after an
-    // unwind cannot observe broken invariants.
+fn run_one(point: &PointSpec, cache: &GraphCache, cfg: &EngineConfig) -> PointResult {
+    // A panicking graph preparation becomes a `Failed` row instead of
+    // tearing down the whole sweep (the simulation itself is contained
+    // by `run_graph_outcome`). The closure only touches per-point state
+    // plus the graph cache, whose entries are immutable once inserted, so
+    // resuming after an unwind cannot observe broken invariants.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let g = cache.get((
             point.bench,
@@ -555,18 +597,10 @@ fn run_one(point: &PointSpec, cache: &GraphCache, timeout: Option<Duration>) -> 
             point.spec.shrink,
             point.algo.is_weighted(),
         ));
-        let deadline = timeout.map(|t| Instant::now() + t);
-        run_graph_outcome(&g, point.bench.tag(), point.algo, &point.spec, deadline)
+        run_graph_outcome(&g, point.bench.tag(), point.algo, &point.spec, cfg)
     }))
-    .unwrap_or_else(|payload| {
-        // The runner funnel never got to record this point; do it here so
-        // the export still carries one row per submitted point.
-        note_point_failure();
-        let failure = Err(RunFailure::Failed(panic_message(payload.as_ref())));
-        maybe_record(|| PointResult::new(point, &failure, t.elapsed().as_secs_f64()));
-        failure
-    });
-    PointResult::new(point, &run, t.elapsed().as_secs_f64())
+    .unwrap_or_else(|payload| Err(RunFailure::Failed(panic_message(payload.as_ref()))));
+    PointResult::new(point, run)
 }
 
 #[cfg(test)]
@@ -609,8 +643,7 @@ mod tests {
         );
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
-            // Everything serialized must match bit for bit; host timing
-            // (wall_seconds, sim_seconds) is excluded by design.
+            // Everything serialized must match bit for bit.
             assert_eq!(s.fields(), p.fields());
         }
     }

@@ -1,8 +1,13 @@
 //! One module per table/figure of the paper's evaluation (§V).
 //!
-//! Every `run(scope)` renders a text report with the same rows/series the
-//! paper presents; the `repro` binary prints them and EXPERIMENTS.md
-//! records paper-vs-measured shapes.
+//! Every experiment takes all its inputs as arguments — the [`Scope`],
+//! the [`EngineConfig`], and any options of its own — and returns a
+//! [`Report`] whose text has the same rows/series the paper presents.
+//! Every simulated single-device point runs through
+//! [`engine::run_points`], so each experiment honours `--jobs` and
+//! `--timeout-secs`. [`run`] dispatches by name; the `repro` binary
+//! exports the result and EXPERIMENTS.md records paper-vs-measured
+//! shapes.
 
 use std::fmt::Write as _;
 
@@ -11,8 +16,9 @@ use graph::benchmarks::BenchmarkId;
 use graph::reorder::Preprocess;
 
 use crate::arch::ArchPoint;
+use crate::engine::{self, EngineConfig, PointResult, PointSpec, Report};
 use crate::geomean;
-use crate::runner::{prepare_graph, run_graph, CacheVariant, RunSpec};
+use crate::runner::{prepare_graph, CacheVariant, RunSpec};
 
 /// How much work an experiment invocation does.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +71,86 @@ fn spec_for(arch: ArchPoint, scope: &Scope) -> RunSpec {
     let mut s = RunSpec::new(arch);
     s.shrink = scope.shrink;
     s
+}
+
+/// The experiments `all` runs, in order.
+pub const ALL: [&str; 14] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "ablate",
+    "syncasync",
+    "paperscale",
+    "related",
+];
+
+/// Runs one single-device or text-only experiment by name, or `all` of
+/// [`ALL`] (each text followed by a blank line); `None` for a name this
+/// dispatcher does not know. `fabric`, `chaos-fabric`, `serve` and `fuzz`
+/// take options of their own and return their own row types, so the
+/// `repro` binary calls them directly.
+pub fn run(name: &str, scope: Scope, eng: &EngineConfig) -> Option<Report> {
+    Some(match name {
+        "table1" => Report::text(table1::run()),
+        "table2" => Report::text(table2::run(scope)),
+        "table3" => Report::text(table3::run(scope)),
+        "fig11" => fig11::run(scope, eng),
+        "fig12" => fig12::run(scope, eng),
+        "fig13" => fig13::run(scope, eng),
+        "fig14" => fig14::run(scope, eng),
+        "fig15" => fig15::run(scope, eng),
+        "fig16" => fig16::run(scope, eng),
+        "fig17" => Report::text(fig17::run()),
+        "ablate" => Report::text(ablate::run()),
+        "sweep" => sweep::run(scope, eng),
+        "syncasync" => syncasync::run(scope, eng),
+        "paperscale" => Report::text(paperscale::run()),
+        "related" => related_work::run(scope, eng),
+        "explain" => crate::explain::run(scope, eng),
+        "all" => {
+            let mut all = Report::text(String::new());
+            for name in ALL {
+                all.append(run(name, scope, eng)?);
+                all.text.push('\n');
+            }
+            all
+        }
+        _ => return None,
+    })
+}
+
+/// A point of `algo` on `bench` with `spec`.
+fn point(bench: BenchmarkId, algo: Algorithm, spec: RunSpec) -> PointSpec {
+    PointSpec { bench, algo, spec }
+}
+
+/// GTEPS of every completed point (failed and timed-out points drop out
+/// of the geomeans).
+fn gteps_of<'a>(results: impl IntoIterator<Item = &'a PointResult>) -> Vec<f64> {
+    results
+        .into_iter()
+        .filter_map(|r| r.row.as_ref().map(|row| row.gteps))
+        .collect()
+}
+
+/// A GTEPS cell of `width`.
+fn gteps_cell(r: &PointResult, width: usize) -> String {
+    r.cell(width, |row| format!("{:.3}", row.gteps))
+}
+
+/// FabGraph's L2 capacity in nodes for `g`, the scaled stand-in of `b`:
+/// its 4 MiB on-chip budget shrunk by the stand-in's scale factor.
+fn fabgraph_l2_nodes(b: BenchmarkId, g: &graph::CooGraph) -> u64 {
+    let (pn, _) = b.paper_size();
+    let scale = (pn as f64 / g.num_nodes() as f64).max(1.0);
+    (((4u64 << 20) / 4) as f64 / scale).max(1024.0) as u64
 }
 
 /// Table I: algorithm-specific template parameters.
@@ -145,34 +231,20 @@ pub mod table2 {
 /// Fig. 11: throughput per architecture for PageRank, SCC, SSSP.
 pub mod fig11 {
     use super::*;
-    use crate::engine::{self, PointSpec};
 
-    /// Runs the architecture exploration through the parallel engine and
-    /// prints GTEPS per point plus per-architecture geometric means.
-    /// Timed-out points render as `timeout` and drop out of the geomeans.
-    pub fn run(scope: Scope) -> String {
+    /// Runs the architecture exploration and prints GTEPS per point plus
+    /// per-architecture geometric means. Points that time out or fail
+    /// render as `timeout`/`failed` and drop out of the geomeans.
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let algos = scope.algos();
         let benches = scope.benches();
         let archs = scope.archs();
-        let mut points = Vec::new();
-        for &(algo, iters) in &algos {
-            for &b in &benches {
-                for &arch in &archs {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.max_iterations = iters;
-                    points.push(PointSpec {
-                        bench: b,
-                        algo,
-                        spec,
-                    });
-                }
-            }
-        }
-        let results = engine::run_points(&points, &engine::global_config());
+        // The same matrix as `sweep`, in the same (algo, bench, arch) order.
+        let results = engine::run_points(&sweep::points(scope), eng);
 
         let mut out = String::new();
         let _ = writeln!(out, "== Fig. 11: throughput (GTEPS) per architecture ==");
-        let mut it = results.iter();
+        let mut rows = results.chunks(archs.len());
         for (algo, _) in &algos {
             let _ = writeln!(out, "\n-- {} --", algo.name());
             let mut header = format!("{:<6}", "bench");
@@ -183,17 +255,10 @@ pub mod fig11 {
             let mut per_arch: Vec<Vec<f64>> = vec![Vec::new(); archs.len()];
             for b in &benches {
                 let mut line = format!("{:<6}", b.tag());
-                for gteps in per_arch.iter_mut() {
-                    let r = it.next().expect("one result per submitted point");
-                    match &r.row {
-                        Some(row) => {
-                            gteps.push(row.gteps);
-                            let _ = write!(line, " {:>14.3}", row.gteps);
-                        }
-                        None => {
-                            let _ = write!(line, " {:>14}", "timeout");
-                        }
-                    }
+                let row = rows.next().expect("one result per submitted point");
+                for (gteps, r) in per_arch.iter_mut().zip(row) {
+                    gteps.extend(r.row.as_ref().map(|row| row.gteps));
+                    let _ = write!(line, " {}", gteps_cell(r, 14));
                 }
                 let _ = writeln!(out, "{line}");
             }
@@ -203,7 +268,7 @@ pub mod fig11 {
             }
             let _ = writeln!(out, "{gm}");
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -214,7 +279,18 @@ pub mod fig12 {
 
     /// Emits (architecture, benchmark, hit rate, GTEPS) points for the
     /// cached and cache-less variants.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
+        let mut points = Vec::new();
+        for arch in scope.archs() {
+            for b in scope.benches() {
+                let mut spec = spec_for(arch, &scope);
+                points.push(point(b, Algorithm::Scc, spec.clone()));
+                spec.caches = CacheVariant::None;
+                points.push(point(b, Algorithm::Scc, spec));
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(out, "== Fig. 12: SCC throughput vs cache hit rate ==");
         let _ = writeln!(
@@ -222,37 +298,29 @@ pub mod fig12 {
             "{:<16} {:<6} {:>10} {:>10} {:>12} {:>12}",
             "arch", "bench", "hit%", "GTEPS", "hit%(noc)", "GTEPS(noc)"
         );
-        let mut cached: Vec<f64> = Vec::new();
-        let mut cacheless: Vec<f64> = Vec::new();
-        for arch in scope.archs() {
-            for b in scope.benches() {
-                let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, false);
-                let mut spec = spec_for(arch, &scope);
-                let with = run_graph(&g, b.tag(), Algorithm::Scc, &spec);
-                spec.caches = CacheVariant::None;
-                let without = run_graph(&g, b.tag(), Algorithm::Scc, &spec);
-                cached.push(with.gteps);
-                cacheless.push(without.gteps);
-                let _ = writeln!(
-                    out,
-                    "{:<16} {:<6} {:>9.1}% {:>10.3} {:>11.1}% {:>12.3}",
-                    arch.name,
-                    b.tag(),
-                    with.hit_rate * 100.0,
-                    with.gteps,
-                    without.hit_rate * 100.0,
-                    without.gteps
-                );
-            }
+        let hit =
+            |r: &PointResult, width| r.cell(width, |row| format!("{:.1}%", row.hit_rate * 100.0));
+        for (pair, p) in results.chunks(2).zip(points.iter().step_by(2)) {
+            let (with, without) = (&pair[0], &pair[1]);
+            let _ = writeln!(
+                out,
+                "{:<16} {:<6} {} {} {} {}",
+                p.spec.arch.name,
+                p.bench.tag(),
+                hit(with, 10),
+                gteps_cell(with, 10),
+                hit(without, 12),
+                gteps_cell(without, 12)
+            );
         }
+        let cached = geomean(&gteps_of(results.iter().step_by(2)));
+        let cacheless = geomean(&gteps_of(results.iter().skip(1).step_by(2)));
         let _ = writeln!(
             out,
-            "geomean GTEPS: cached {:.3}, cache-less {:.3} (drop {:.1}%)",
-            geomean(&cached),
-            geomean(&cacheless),
-            (1.0 - geomean(&cacheless) / geomean(&cached).max(1e-12)) * 100.0
+            "geomean GTEPS: cached {cached:.3}, cache-less {cacheless:.3} (drop {:.1}%)",
+            (1.0 - cacheless / cached.max(1e-12)) * 100.0
         );
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -262,8 +330,19 @@ pub mod fig13 {
 
     /// Runs the 18/16 two-level point under the four preprocessing
     /// variants.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let arch = ArchPoint::ALL[4]; // 2lvl 18/16
+        let mut points = Vec::new();
+        for b in scope.benches() {
+            for p in Preprocess::ALL {
+                let mut spec = spec_for(arch, &scope);
+                spec.pre = p;
+                spec.max_iterations = Some(2);
+                points.push(point(b, Algorithm::pagerank(), spec));
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -275,19 +354,18 @@ pub mod fig13 {
             let _ = write!(header, " {:>10}", p.name());
         }
         let _ = writeln!(out, "{header}");
-        for b in scope.benches() {
+        for (b, row) in scope
+            .benches()
+            .iter()
+            .zip(results.chunks(Preprocess::ALL.len()))
+        {
             let mut line = format!("{:<6}", b.tag());
-            for p in Preprocess::ALL {
-                let g = prepare_graph(b, p, scope.shrink, false);
-                let mut spec = spec_for(arch, &scope);
-                spec.pre = p;
-                spec.max_iterations = Some(2);
-                let row = run_graph(&g, b.tag(), Algorithm::pagerank(), &spec);
-                let _ = write!(line, " {:>10.3}", row.gteps);
+            for r in row {
+                let _ = write!(line, " {}", gteps_cell(r, 10));
             }
             let _ = writeln!(out, "{line}");
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -337,16 +415,32 @@ pub mod fig14 {
     use super::*;
     use baselines::FabGraphModel;
 
+    const CHANNELS: [usize; 3] = [1, 2, 4];
+
     /// Sweeps 1/2/4 channels on the 16/16 two-level architecture.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let arch = ArchPoint::two_level_16_16();
+        let mut points = Vec::new();
+        for (algo, iters) in scope.algos() {
+            for b in scope.benches() {
+                for ch in CHANNELS {
+                    let mut spec = spec_for(arch, &scope);
+                    spec.channels = ch;
+                    spec.max_iterations = iters;
+                    points.push(point(b, algo, spec));
+                }
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(
             out,
             "== Fig. 14: GTEPS vs memory channels on {} ==",
             arch.name
         );
-        for (algo, iters) in scope.algos() {
+        let mut rows = results.chunks(CHANNELS.len());
+        for (algo, _) in scope.algos() {
             let _ = writeln!(out, "\n-- {} --", algo.name());
             let _ = writeln!(
                 out,
@@ -362,19 +456,15 @@ pub mod fig14 {
                 }
             );
             for b in scope.benches() {
-                let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, algo.is_weighted());
                 let mut line = format!("{:<6}", b.tag());
-                for ch in [1usize, 2, 4] {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.channels = ch;
-                    spec.max_iterations = iters;
-                    let row = run_graph(&g, b.tag(), algo, &spec);
-                    let _ = write!(line, " {:>8.3}", row.gteps);
+                for r in rows.next().expect("one result per submitted point") {
+                    let _ = write!(line, " {}", gteps_cell(r, 8));
                 }
                 if algo.name() == "pagerank" {
-                    let (pn, _) = b.paper_size();
-                    let scale = (pn as f64 / g.num_nodes() as f64).max(1.0);
-                    let l2 = (((4u64 << 20) / 4) as f64 / scale).max(1024.0) as u64;
+                    // Preprocessing relabels nodes, so the unprocessed
+                    // graph has the simulated graph's size.
+                    let g = b.build(scope.shrink);
+                    let l2 = fabgraph_l2_nodes(b, &g);
                     let _ = write!(line, "  ");
                     for ch in [1u64, 2, 4] {
                         let m = FabGraphModel::paper_default(ch).with_l2_nodes(l2);
@@ -388,7 +478,7 @@ pub mod fig14 {
                 let _ = writeln!(out, "{line}");
             }
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -397,36 +487,48 @@ pub mod fig14 {
 pub mod fig15 {
     use super::*;
 
+    const VARIANTS: [CacheVariant; 4] = [
+        CacheVariant::Full,
+        CacheVariant::NoPrivate,
+        CacheVariant::NoShared,
+        CacheVariant::None,
+    ];
+
     /// Runs SCC under the four cache variants for both designs.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
+        let archs = [ArchPoint::two_level_20_8(), ArchPoint::ALL[6]];
+        let mut points = Vec::new();
+        for arch in archs {
+            for b in scope.benches() {
+                for caches in VARIANTS {
+                    let mut spec = spec_for(arch, &scope);
+                    spec.caches = caches;
+                    points.push(point(b, Algorithm::Scc, spec));
+                }
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(
             out,
             "== Fig. 15: SCC GTEPS, 20/8 two-level, cache ablation =="
         );
-        let variants = [
-            CacheVariant::Full,
-            CacheVariant::NoPrivate,
-            CacheVariant::NoShared,
-            CacheVariant::None,
-        ];
-        for arch in [ArchPoint::two_level_20_8(), ArchPoint::ALL[6]] {
+        let mut rows = results.chunks(VARIANTS.len());
+        for arch in archs {
             let _ = writeln!(out, "\n-- {} --", arch.name);
             let mut header = format!("{:<6}", "bench");
-            for v in variants {
+            for v in VARIANTS {
                 let _ = write!(header, " {:>12}", v.name());
             }
             let _ = writeln!(out, "{header}");
-            let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
+            let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); VARIANTS.len()];
             for b in scope.benches() {
-                let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, false);
                 let mut line = format!("{:<6}", b.tag());
-                for (i, v) in variants.iter().enumerate() {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.caches = *v;
-                    let row = run_graph(&g, b.tag(), Algorithm::Scc, &spec);
-                    per_variant[i].push(row.gteps);
-                    let _ = write!(line, " {:>12.3}", row.gteps);
+                let row = rows.next().expect("one result per submitted point");
+                for (gteps, r) in per_variant.iter_mut().zip(row) {
+                    gteps.extend(r.row.as_ref().map(|row| row.gteps));
+                    let _ = write!(line, " {}", gteps_cell(r, 12));
                 }
                 let _ = writeln!(out, "{line}");
             }
@@ -443,7 +545,7 @@ pub mod fig15 {
                 full / none.max(1e-12)
             );
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -454,13 +556,26 @@ pub mod fig16 {
     use baselines::platforms::{bandwidth_efficiency_ratio, power_efficiency_ratio, Platform};
     use baselines::{cpu, FabGraphModel};
 
+    const FPGA: Platform = Platform::Fpga;
+    const CPU: Platform = Platform::Cpu;
+
     /// Runs our best generic architecture against the CPU reference (and
     /// the FabGraph model for PageRank) on every scoped benchmark.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let arch = ArchPoint::ALL[4]; // 2lvl 18/16: best generic point
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
+        let mut points = Vec::new();
+        for (algo, iters) in scope.algos() {
+            for b in scope.benches() {
+                let mut spec = spec_for(arch, &scope);
+                spec.max_iterations = iters;
+                points.push(point(b, algo, spec));
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(out, "== Fig. 16: comparison with software baselines ==");
         let _ = writeln!(
@@ -468,56 +583,43 @@ pub mod fig16 {
             "(FPGA = simulated {} at modelled clock; CPU = this host, {} threads)",
             arch.name, threads
         );
-        for (algo, iters) in scope.algos() {
+        let mut rows = results.chunks(scope.benches().len());
+        for (algo, _) in scope.algos() {
+            let row = rows.next().expect("one result per submitted point");
             let _ = writeln!(out, "\n-- {} --", algo.name());
             let _ = writeln!(
                 out,
                 "{:<6} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 "bench", "FPGA", "CPU", "speedup", "bw-eff x", "pw-eff x"
             );
-            for b in scope.benches() {
+            let mut fab_all = Vec::new();
+            for (b, ours) in scope.benches().into_iter().zip(row) {
                 let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, algo.is_weighted());
-                let mut spec = spec_for(arch, &scope);
-                spec.max_iterations = iters;
-                let ours = run_graph(&g, b.tag(), algo, &spec);
-                let cpu_run = cpu::run(&algo, &g, threads);
-                let cpu_gteps = cpu_run.gteps();
+                let cpu_gteps = cpu::run(&algo, &g, threads).gteps();
+                let ratio =
+                    |f: &dyn Fn(f64) -> f64| ours.cell(10, |r| format!("{:.2}x", f(r.gteps)));
                 let _ = writeln!(
                     out,
-                    "{:<6} {:>10.3} {:>10.3} {:>9.2}x {:>9.2}x {:>9.2}x",
+                    "{:<6} {} {:>10.3} {} {} {}",
                     b.tag(),
-                    ours.gteps,
+                    gteps_cell(ours, 10),
                     cpu_gteps,
-                    ours.gteps / cpu_gteps.max(1e-12),
-                    bandwidth_efficiency_ratio(
-                        ours.gteps,
-                        Platform::Fpga,
-                        cpu_gteps,
-                        Platform::Cpu
-                    ),
-                    power_efficiency_ratio(ours.gteps, Platform::Fpga, cpu_gteps, Platform::Cpu),
+                    ratio(&|ours| ours / cpu_gteps.max(1e-12)),
+                    ratio(&|ours| bandwidth_efficiency_ratio(ours, FPGA, cpu_gteps, CPU)),
+                    ratio(&|ours| power_efficiency_ratio(ours, FPGA, cpu_gteps, CPU)),
                 );
-            }
-            if algo.name() == "pagerank" {
-                let _ = writeln!(out, "(FabGraph model, geomean over benches:)");
-                let mut ours_all = Vec::new();
-                let mut fab_all = Vec::new();
-                for b in scope.benches() {
-                    let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, false);
-                    let mut spec = spec_for(arch, &scope);
-                    spec.max_iterations = iters;
-                    let ours = run_graph(&g, b.tag(), algo, &spec);
-                    let (pn, _) = b.paper_size();
-                    let scale = (pn as f64 / g.num_nodes() as f64).max(1.0);
-                    let l2 = (((4u64 << 20) / 4) as f64 / scale).max(1024.0) as u64;
-                    let fab = FabGraphModel::paper_default(4).with_l2_nodes(l2).gteps(
+                if algo.name() == "pagerank" {
+                    let l2 = fabgraph_l2_nodes(b, &g);
+                    fab_all.push(FabGraphModel::paper_default(4).with_l2_nodes(l2).gteps(
                         g.num_nodes() as u64,
                         g.num_edges() as u64,
                         200.0,
-                    );
-                    ours_all.push(ours.gteps);
-                    fab_all.push(fab);
+                    ));
                 }
+            }
+            if algo.name() == "pagerank" {
+                let _ = writeln!(out, "(FabGraph model, geomean over benches:)");
+                let ours_all = gteps_of(row);
                 let _ = writeln!(
                     out,
                     "ours {:.3} vs fabgraph {:.3} -> {:.2}x",
@@ -537,7 +639,7 @@ pub mod fig16 {
                 p.power_w()
             );
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -768,8 +870,20 @@ pub mod syncasync {
     use accel::ExecutionMode;
 
     /// Runs SCC and SSSP in both modes on the headline architecture.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let arch = ArchPoint::two_level_16_16();
+        let algos = [Algorithm::Scc, Algorithm::sssp(0)];
+        let mut points = Vec::new();
+        for algo in algos {
+            for b in scope.benches() {
+                let mut spec = spec_for(arch, &scope);
+                points.push(point(b, algo, spec.clone()));
+                spec.execution = ExecutionMode::ForceSynchronous;
+                points.push(point(b, algo, spec));
+            }
+        }
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -780,27 +894,24 @@ pub mod syncasync {
             "{:<6} {:<6} {:>10} {:>10} {:>12} {:>12} {:>9}",
             "algo", "bench", "iter(async)", "iter(sync)", "cyc(async)", "cyc(sync)", "speedup"
         );
-        for algo in [Algorithm::Scc, Algorithm::sssp(0)] {
-            for b in scope.benches() {
-                let g = prepare_graph(b, Preprocess::DbgHash, scope.shrink, algo.is_weighted());
-                let mut spec = spec_for(arch, &scope);
-                let a = run_graph(&g, b.tag(), algo, &spec);
-                spec.execution = ExecutionMode::ForceSynchronous;
-                let s_ = run_graph(&g, b.tag(), algo, &spec);
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:<6} {:>10} {:>10} {:>12} {:>12} {:>8.2}x",
-                    algo.name(),
-                    b.tag(),
-                    a.iterations,
-                    s_.iterations,
-                    a.cycles,
-                    s_.cycles,
-                    s_.cycles as f64 / a.cycles as f64
-                );
-            }
+        for (pair, p) in results.chunks(2).zip(points.iter().step_by(2)) {
+            let (a, s_) = (&pair[0], &pair[1]);
+            let _ = writeln!(
+                out,
+                "{:<6} {:<6} {} {} {} {} {}",
+                p.algo.name(),
+                p.bench.tag(),
+                a.cell(10, |r| r.iterations.to_string()),
+                s_.cell(10, |r| r.iterations.to_string()),
+                a.cell(12, |r| r.cycles.to_string()),
+                s_.cell(12, |r| r.cycles.to_string()),
+                a.cell(9, |ar| s_.cell(0, |sr| format!(
+                    "{:.2}x",
+                    sr.cycles as f64 / ar.cycles as f64
+                ))),
+            );
         }
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -812,8 +923,22 @@ pub mod related_work {
 
     /// Runs the RV and RMAT-24 points and prints them next to §VI's cited
     /// numbers.
-    pub fn run(scope: Scope) -> String {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
         let arch = ArchPoint::ALL[4]; // best generic point
+        let points: Vec<PointSpec> = [
+            (Algorithm::pagerank(), Some(2), BenchmarkId::Rv),
+            (Algorithm::sssp(0), None, BenchmarkId::Rv),
+            (Algorithm::pagerank(), Some(2), BenchmarkId::R24),
+        ]
+        .into_iter()
+        .map(|(algo, iters, bench)| {
+            let mut spec = spec_for(arch, &scope);
+            spec.max_iterations = iters;
+            point(bench, algo, spec)
+        })
+        .collect();
+        let results = engine::run_points(&points, eng);
+
         let mut out = String::new();
         let _ = writeln!(out, "== §VI related-work context (paper-cited numbers) ==");
         let _ = writeln!(
@@ -833,22 +958,17 @@ pub mod related_work {
             "{:<10} {:<6} {:>10} {:>12}",
             "algo", "bench", "GTEPS", "edges/cycle"
         );
-        for (algo, iters, bench) in [
-            (Algorithm::pagerank(), Some(2), BenchmarkId::Rv),
-            (Algorithm::sssp(0), None, BenchmarkId::Rv),
-            (Algorithm::pagerank(), Some(2), BenchmarkId::R24),
-        ] {
-            let g = prepare_graph(bench, Preprocess::DbgHash, scope.shrink, algo.is_weighted());
-            let mut spec = spec_for(arch, &scope);
-            spec.max_iterations = iters;
-            let row = run_graph(&g, bench.tag(), algo, &spec);
+        for (p, r) in points.iter().zip(&results) {
             let _ = writeln!(
                 out,
-                "{:<10} {:<6} {:>10.3} {:>12.3}",
-                algo.name(),
-                bench.tag(),
-                row.gteps,
-                row.edges as f64 / row.cycles as f64
+                "{:<10} {:<6} {} {}",
+                p.algo.name(),
+                p.bench.tag(),
+                gteps_cell(r, 10),
+                r.cell(12, |row| format!(
+                    "{:.3}",
+                    row.edges as f64 / row.cycles as f64
+                ))
             );
         }
         let _ = writeln!(
@@ -859,7 +979,7 @@ pub mod related_work {
              ASIC baselines sit an order of magnitude above any FPGA point, as\n\
              §VI discusses.)"
         );
-        out
+        Report::from_points(out, results)
     }
 }
 
@@ -867,7 +987,6 @@ pub mod related_work {
 /// matrix as CSV on stdout, for plotting outside the harness.
 pub mod sweep {
     use super::*;
-    use crate::engine::{self, PointSpec};
 
     /// Enumerates the full (algorithm × benchmark × architecture) matrix.
     pub fn points(scope: Scope) -> Vec<PointSpec> {
@@ -877,31 +996,28 @@ pub mod sweep {
                 for arch in scope.archs() {
                     let mut spec = spec_for(arch, &scope);
                     spec.max_iterations = iters;
-                    points.push(PointSpec {
-                        bench: b,
-                        algo,
-                        spec,
-                    });
+                    points.push(point(b, algo, spec));
                 }
             }
         }
         points
     }
 
-    /// Runs the matrix through the parallel engine and renders the
-    /// structured result rows as CSV. Host timing is excluded from the
-    /// columns, so the output is byte-identical for any `--jobs` value.
-    pub fn run(scope: Scope) -> String {
-        let results = engine::run_points(&points(scope), &engine::global_config());
-        simkit::record::to_csv(&results)
+    /// Runs the matrix and renders the structured result rows as CSV, in
+    /// enumeration order. Host timing is excluded from the columns, so
+    /// the output is byte-identical for any `--jobs` value.
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
+        let results = engine::run_points(&points(scope), eng);
+        Report::from_points(simkit::record::to_csv(&results), results)
     }
 }
 
 /// `repro fabric`: scale-out sweep over device count × link bandwidth.
 pub mod fabric {
     use super::*;
-    use accel::{Fabric, FabricError, RecoveryConfig, RunConfig};
+    use accel::{Fabric, FabricError, FabricRunResult, LinkTopology};
     use simkit::record::{Record, Value};
+    use simkit::trace::TraceReport;
 
     /// One-line structured summary of a fabric failure, for stderr and
     /// nonzero-exit reporting (the full multi-section diagnostic stays in
@@ -920,50 +1036,14 @@ pub mod fabric {
         }
     }
 
-    /// Applies the process-wide link-reliability overlay (`--link-fault-*`,
-    /// `--link-retry`, `--checkpoint-interval`, `--sim-threads`) to a
-    /// fabric run config.
-    pub fn apply_link_overlay(rc: &mut RunConfig, eng: &crate::engine::EngineConfig) {
-        rc.link.fault = eng.link_fault;
-        if let Some(rto) = eng.link_retry {
-            rc.link.retry.rto = rto;
-            rc.link.retry.rto_cap = rc.link.retry.rto_cap.max(rto);
-        }
-        if eng.checkpoint_interval > 0 {
-            rc.recovery = Some(RecoveryConfig {
-                checkpoint_interval: eng.checkpoint_interval,
-                ..RecoveryConfig::default()
-            });
-        }
-        rc.sim_threads = clamped_sim_threads(eng);
-    }
-
-    /// Resolves `--sim-threads` for one fabric point so that engine jobs ×
-    /// shard threads never oversubscribe the host: each of the engine's
-    /// `jobs` concurrent points gets at most `cores / jobs` shard worker
-    /// threads. An explicit `--sim-threads` beyond that budget is clamped
-    /// with a one-line warning (once per process); `0` (auto) silently
-    /// resolves to the budget, which the fabric further caps at the device
-    /// count.
-    pub fn clamped_sim_threads(eng: &crate::engine::EngineConfig) -> usize {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let jobs = eng.effective_jobs().max(1);
-        let budget = (cores / jobs).max(1);
-        if eng.sim_threads > budget && !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "warning: --sim-threads {} x --jobs {jobs} oversubscribes {cores} \
-                 available cores; clamping to {budget} shard threads per point",
-                eng.sim_threads
-            );
-        }
-        if eng.sim_threads == 0 {
-            budget
-        } else {
-            eng.sim_threads.min(budget)
+    /// Moves a traced fabric run's link trace into `traces` under `label`.
+    pub(super) fn take_trace(
+        traces: &mut Vec<(String, TraceReport)>,
+        label: String,
+        r: &mut FabricRunResult,
+    ) {
+        if !r.trace.is_empty() {
+            traces.push((label, std::mem::take(&mut r.trace)));
         }
     }
 
@@ -1043,23 +1123,24 @@ pub mod fabric {
         }
     }
 
-    /// The sweep dimensions: BFS and PageRank on 1/2/4/8 devices, link
+    /// Runs the sweep: BFS and PageRank on 1/2/4/8 devices, link
     /// bandwidths of 1/4/16 words per cycle (multi-device only — a
     /// 1-device fabric has no links), plus one ring-topology series at
-    /// the default bandwidth.
+    /// the default bandwidth. Points fan out over `--jobs` workers; each
+    /// one's link trace (under `--trace`) is kept in the report.
     ///
     /// # Errors
     ///
-    /// A point that stalls or times out (possible under `--link-fault-*`)
-    /// aborts the sweep with a one-line structured summary naming the
-    /// point — the `repro` binary turns it into a nonzero exit.
-    pub fn sweep(scope: Scope) -> Result<Vec<FabricPoint>, String> {
+    /// A point that stalls or times out (possible under `--link-fault-*`
+    /// or `--timeout-secs`) aborts the sweep with a one-line structured
+    /// summary naming the point — the `repro` binary turns it into a
+    /// nonzero exit.
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Result<Report<FabricPoint>, String> {
         let arch = ArchPoint::two_level_16_16();
         let bench = BenchmarkId::Wt;
         let mut spec = spec_for(arch, &scope);
         let g = prepare_graph(bench, spec.pre, spec.shrink, false);
-        let eng = crate::engine::global_config();
-        let mut out = Vec::new();
+        let mut configs = Vec::new();
         for (algo, iters) in [(Algorithm::bfs(0), None), (Algorithm::pagerank(), Some(2))] {
             spec.max_iterations = iters;
             for devices in [1usize, 2, 4, 8] {
@@ -1067,64 +1148,69 @@ pub mod fabric {
                     if devices == 1 && bw != 4 {
                         continue;
                     }
-                    let topologies: &[accel::LinkTopology] = if devices > 1 && bw == 4 {
-                        &[accel::LinkTopology::AllToAll, accel::LinkTopology::Ring]
+                    let topologies: &[LinkTopology] = if devices > 1 && bw == 4 {
+                        &[LinkTopology::AllToAll, LinkTopology::Ring]
                     } else {
-                        &[accel::LinkTopology::AllToAll]
+                        &[LinkTopology::AllToAll]
                     };
                     for &topology in topologies {
                         let mut rc = spec.run_config();
                         rc.devices = devices;
                         rc.link.bandwidth_words_per_cycle = bw;
                         rc.link.topology = topology;
-                        rc.fault = eng.fault;
-                        if let Some(wc) = eng.watchdog_cycles {
-                            rc.watchdog_cycles = (wc > 0).then_some(wc);
-                        }
-                        apply_link_overlay(&mut rc, &eng);
-                        let r = Fabric::new(&g, algo, &rc)
-                            .run_to_outcome(None)
-                            .map_err(|e| {
-                                format!(
-                                    "fabric {}/{} devices={devices} topology={} link_bw={bw}: {}",
-                                    bench.tag(),
-                                    algo.name(),
-                                    topology.name(),
-                                    error_summary(&e)
-                                )
-                            })?;
-                        let freq = arch.frequency_mhz(spec.channels, &algo);
-                        out.push(FabricPoint {
-                            bench: bench.tag().to_owned(),
-                            algo: algo.name().to_owned(),
-                            devices,
-                            topology: topology.name().to_owned(),
-                            link_bw: bw,
-                            cycles: r.cycles,
-                            iterations: r.iterations,
-                            edges: r.edges_processed,
-                            freq_mhz: freq,
-                            gteps: r.gteps(freq),
-                            exchange_cycles: r.link.exchange_cycles,
-                            link_occupancy_mean: r.link.mean_occupancy(r.cycles),
-                            link_occupancy_peak: r.link.peak_occupancy(r.cycles),
-                            messages: r.link.messages_delivered,
-                            updates: r.link.updates,
-                            retransmits: r.link.retransmissions,
-                            acks: r.link.acks,
-                            dup_drops: r.link.dup_drops,
-                            recovery_attempts: r.recovery.attempts.len() as u64,
-                            recovery_cycles_lost: r.recovery.total_cycles_lost,
-                        });
+                        eng.apply(&mut rc);
+                        configs.push((algo, rc));
                     }
                 }
             }
         }
-        Ok(out)
+        let runs = engine::par_map(&configs, eng.effective_jobs(), |_, (algo, rc)| {
+            Fabric::new(&g, *algo, rc).run_to_outcome(eng.deadline())
+        });
+        let mut report = Report::text(String::new());
+        for ((algo, rc), run) in configs.iter().zip(runs) {
+            let (devices, topology, bw) = (
+                rc.devices,
+                rc.link.topology.name(),
+                rc.link.bandwidth_words_per_cycle,
+            );
+            let label = format!(
+                "fabric {}/{} devices={devices} topology={topology} link_bw={bw}",
+                bench.tag(),
+                algo.name()
+            );
+            let mut r = run.map_err(|e| format!("{label}: {}", error_summary(&e)))?;
+            take_trace(&mut report.traces, label, &mut r);
+            let freq = arch.frequency_mhz(spec.channels, algo);
+            report.rows.push(FabricPoint {
+                bench: bench.tag().to_owned(),
+                algo: algo.name().to_owned(),
+                devices,
+                topology: topology.to_owned(),
+                link_bw: bw,
+                cycles: r.cycles,
+                iterations: r.iterations,
+                edges: r.edges_processed,
+                freq_mhz: freq,
+                gteps: r.gteps(freq),
+                exchange_cycles: r.link.exchange_cycles,
+                link_occupancy_mean: r.link.mean_occupancy(r.cycles),
+                link_occupancy_peak: r.link.peak_occupancy(r.cycles),
+                messages: r.link.messages_delivered,
+                updates: r.link.updates,
+                retransmits: r.link.retransmissions,
+                acks: r.link.acks,
+                dup_drops: r.link.dup_drops,
+                recovery_attempts: r.recovery.attempts.len() as u64,
+                recovery_cycles_lost: r.recovery.total_cycles_lost,
+            });
+        }
+        report.text = render(&report.rows);
+        Ok(report)
     }
 
     /// Renders the sweep as a text table.
-    pub fn render(points: &[FabricPoint]) -> String {
+    fn render(points: &[FabricPoint]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1170,15 +1256,6 @@ pub mod fabric {
         }
         out
     }
-
-    /// Runs the sweep and renders the table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the one-line failure summary of [`sweep`](fn@sweep).
-    pub fn run(scope: Scope) -> Result<String, String> {
-        Ok(render(&sweep(scope)?))
-    }
 }
 
 /// `repro chaos-fabric`: link-reliability sweep — every graceful fault
@@ -1186,9 +1263,10 @@ pub mod fabric {
 /// validated for golden-exact values, plus black-hole rows that exercise
 /// checkpoint-rollback recovery.
 pub mod chaos_fabric {
-    use super::fabric::{apply_link_overlay, error_summary};
+    use super::fabric::{error_summary, take_trace};
     use super::*;
-    use accel::{Fabric, RecoveryConfig};
+    use accel::{Fabric, RecoveryConfig, RunConfig};
+    use graph::CooGraph;
     use simkit::record::{Record, Value};
     use simkit::{FaultConfig, FaultProfile};
 
@@ -1266,81 +1344,37 @@ pub mod chaos_fabric {
         "duplicate",
     ];
 
+    /// One row to simulate: a fabric config on a graph, and the values
+    /// it must reproduce.
+    struct Case<'a> {
+        bench: &'static str,
+        graph: &'a CooGraph,
+        profile: &'static str,
+        algo: Algorithm,
+        rc: RunConfig,
+        expect: &'a [u32],
+        /// Compare within the fp-noise tolerance instead of bit for bit.
+        fp_tolerant: bool,
+    }
+
     /// Runs BFS under every maskable profile on 2- and 4-device fabrics
     /// (each row validated bit-exact against the golden model), plus a
     /// black-hole PageRank row per device count with recovery enabled
     /// (validated against a fault-free fabric run, within the repo's
     /// standard fp-noise tolerance — replay reassociates float sums).
+    /// Rows fan out over `--jobs` workers.
     ///
     /// # Errors
     ///
     /// A row that stalls anyway aborts the sweep with a one-line
     /// structured summary naming the (profile, devices) point.
-    pub fn sweep(scope: Scope) -> Result<Vec<ChaosPoint>, String> {
+    pub fn run(scope: Scope, eng: &EngineConfig) -> Result<Report<ChaosPoint>, String> {
         let arch = ArchPoint::two_level_16_16();
         let bench = BenchmarkId::Wt;
         let spec = spec_for(arch, &scope);
         let g = prepare_graph(bench, spec.pre, spec.shrink, false);
-        let eng = crate::engine::global_config();
         let bfs = Algorithm::bfs(0);
         let bfs_expect = algos::golden::run(&bfs, &g);
-        let mut out = Vec::new();
-        let mut run_point = |bench_tag: &str,
-                             graph: &graph::CooGraph,
-                             profile: &str,
-                             algo: Algorithm,
-                             max_iterations: Option<u32>,
-                             expect: &[u32],
-                             fp_tolerant: bool,
-                             devices: usize,
-                             fault: FaultConfig,
-                             recovery: Option<RecoveryConfig>,
-                             watchdog: Option<u64>|
-         -> Result<(), String> {
-            let mut rc = spec.run_config();
-            rc.devices = devices;
-            if max_iterations.is_some() {
-                rc.max_iterations = max_iterations;
-            }
-            apply_link_overlay(&mut rc, &eng);
-            rc.link.fault = fault;
-            if let Some(w) = watchdog {
-                rc.link.watchdog_cycles = Some(w);
-            }
-            if let Some(rec) = recovery {
-                rc.recovery = Some(rec);
-            }
-            let r = Fabric::new(graph, algo, &rc)
-                .run_to_outcome(None)
-                .map_err(|e| {
-                    format!(
-                        "chaos-fabric {bench_tag}/{} profile={profile} devices={devices}: {}",
-                        algo.name(),
-                        error_summary(&e)
-                    )
-                })?;
-            out.push(ChaosPoint {
-                bench: bench_tag.to_owned(),
-                algo: algo.name().to_owned(),
-                profile: profile.to_owned(),
-                devices,
-                recovery_enabled: rc.recovery.is_some(),
-                cycles: r.cycles,
-                exchange_cycles: r.link.exchange_cycles,
-                retransmits: r.link.retransmissions,
-                acks: r.link.acks,
-                dup_drops: r.link.dup_drops,
-                dropped: r.link.messages_dropped,
-                recovery_attempts: r.recovery.attempts.len() as u64,
-                recovery_cycles_lost: r.recovery.total_cycles_lost,
-                values_exact: if fp_tolerant {
-                    algos::golden::pagerank_mismatch(&r.values, expect, 1e-5).is_none()
-                } else {
-                    r.values == expect
-                },
-            });
-            Ok(())
-        };
         // The black-hole rows run long PageRank on a fixed 512-node
         // synthetic graph, independent of `--shrink`: recovery is only
         // demonstrable when one barrier's link traffic fits inside the
@@ -1353,63 +1387,110 @@ pub mod chaos_fabric {
         let bh_graph = graph::GraphSpec::rmat(9, 6).build(41);
         let pr = Algorithm::pagerank();
         let pr_iters = Some(30);
-        for devices in [2usize, 4] {
-            for profile in MASKABLE {
-                let fault = FaultConfig {
-                    profile: profile.parse().expect("known profile"),
-                    seed: eng.link_fault.seed,
-                };
-                run_point(
-                    bench.tag(),
-                    &g,
+        let device_counts = [2usize, 4];
+        let pr_expects = device_counts
+            .iter()
+            .map(|&devices| {
+                let mut rc = spec.run_config();
+                rc.devices = devices;
+                rc.max_iterations = pr_iters;
+                Fabric::new(&bh_graph, pr, &rc)
+                    .run_to_outcome(None)
+                    .map(|r| r.values)
+                    .map_err(|e| {
+                        format!(
+                            "chaos-fabric fault-free reference devices={devices}: {}",
+                            error_summary(&e)
+                        )
+                    })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let fault = |profile| FaultConfig {
+            profile,
+            seed: eng.link_fault.seed,
+        };
+        let mut cases = Vec::new();
+        for (&devices, pr_expect) in device_counts.iter().zip(&pr_expects) {
+            for &profile in MASKABLE {
+                let mut rc = spec.run_config();
+                rc.devices = devices;
+                eng.apply(&mut rc);
+                rc.link.fault = fault(profile.parse().expect("known profile"));
+                cases.push(Case {
+                    bench: bench.tag(),
+                    graph: &g,
                     profile,
-                    bfs,
-                    None,
-                    &bfs_expect,
-                    false,
-                    devices,
-                    fault,
-                    None,
-                    None,
-                )?;
+                    algo: bfs,
+                    rc,
+                    expect: &bfs_expect,
+                    fp_tolerant: false,
+                });
             }
             // Black-hole cannot be masked: the watchdog trips and the
             // checkpoint rollback (which resets the link, re-arming the
             // fault's grace window) carries the run to completion.
-            let pr_expect = {
-                let mut rc = spec.run_config();
-                rc.devices = devices;
-                rc.max_iterations = pr_iters;
-                Fabric::new(&bh_graph, pr, &rc).run().values
-            };
-            let fault = FaultConfig {
-                profile: FaultProfile::BlackHole,
-                seed: eng.link_fault.seed,
-            };
-            let recovery = RecoveryConfig {
+            let mut rc = spec.run_config();
+            rc.devices = devices;
+            rc.max_iterations = pr_iters;
+            eng.apply(&mut rc);
+            rc.link.fault = fault(FaultProfile::BlackHole);
+            rc.link.watchdog_cycles = Some(20_000);
+            rc.recovery = Some(RecoveryConfig {
                 checkpoint_interval: eng.checkpoint_interval.max(1),
                 max_attempts: 64,
                 ..RecoveryConfig::default()
-            };
-            run_point(
-                "rmat-9",
-                &bh_graph,
-                "black-hole",
-                pr,
-                pr_iters,
-                &pr_expect,
-                true,
-                devices,
-                fault,
-                Some(recovery),
-                Some(20_000),
-            )?;
+            });
+            cases.push(Case {
+                bench: "rmat-9",
+                graph: &bh_graph,
+                profile: "black-hole",
+                algo: pr,
+                rc,
+                expect: pr_expect,
+                fp_tolerant: true,
+            });
         }
-        Ok(out)
+        let runs = engine::par_map(&cases, eng.effective_jobs(), |_, c| {
+            Fabric::new(c.graph, c.algo, &c.rc).run_to_outcome(eng.deadline())
+        });
+        let mut report = Report::text(String::new());
+        for (c, run) in cases.iter().zip(runs) {
+            let label = format!(
+                "chaos-fabric {}/{} profile={} devices={}",
+                c.bench,
+                c.algo.name(),
+                c.profile,
+                c.rc.devices
+            );
+            let mut r = run.map_err(|e| format!("{label}: {}", error_summary(&e)))?;
+            take_trace(&mut report.traces, label, &mut r);
+            report.rows.push(ChaosPoint {
+                bench: c.bench.to_owned(),
+                algo: c.algo.name().to_owned(),
+                profile: c.profile.to_owned(),
+                devices: c.rc.devices,
+                recovery_enabled: c.rc.recovery.is_some(),
+                cycles: r.cycles,
+                exchange_cycles: r.link.exchange_cycles,
+                retransmits: r.link.retransmissions,
+                acks: r.link.acks,
+                dup_drops: r.link.dup_drops,
+                dropped: r.link.messages_dropped,
+                recovery_attempts: r.recovery.attempts.len() as u64,
+                recovery_cycles_lost: r.recovery.total_cycles_lost,
+                values_exact: if c.fp_tolerant {
+                    algos::golden::pagerank_mismatch(&r.values, c.expect, 1e-5).is_none()
+                } else {
+                    r.values == c.expect
+                },
+            });
+        }
+        report.text = render(&report.rows);
+        Ok(report)
     }
 
     /// Renders the sweep as a text table.
-    pub fn render(points: &[ChaosPoint]) -> String {
+    fn render(points: &[ChaosPoint]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1448,15 +1529,6 @@ pub mod chaos_fabric {
         }
         out
     }
-
-    /// Runs the sweep and renders the table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the one-line failure summary of [`sweep`](fn@sweep).
-    pub fn run(scope: Scope) -> Result<String, String> {
-        Ok(render(&sweep(scope)?))
-    }
 }
 
 /// `repro serve`: arrival-rate sweep over the multi-tenant serving layer
@@ -1464,13 +1536,9 @@ pub mod chaos_fabric {
 /// different offered load and reports the saturation curve (latency
 /// quantiles, goodput, shed rate, fairness).
 pub mod serve {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     use super::*;
     use ::serve::{ServeConfig, ServeReport};
     use simkit::record::{Record, Value};
-    use simkit::trace::TraceReport;
 
     /// The sweep dimensions and the per-point scheduler parameters.
     #[derive(Debug, Clone)]
@@ -1647,8 +1715,12 @@ pub mod serve {
     }
 
     /// Builds the per-point [`ServeConfig`] for one rate.
-    fn point_config(scope: &Scope, opts: &ServeSweepOptions, rate: u64) -> ServeConfig {
-        let eng = crate::engine::global_config();
+    fn point_config(
+        scope: &Scope,
+        opts: &ServeSweepOptions,
+        eng: &EngineConfig,
+        rate: u64,
+    ) -> ServeConfig {
         ServeConfig {
             seed: opts.seed,
             requests: opts.requests,
@@ -1659,95 +1731,63 @@ pub mod serve {
             rate_permille: rate,
             shrink: scope.shrink,
             sim_threads: if opts.slot_devices > 1 {
-                super::fabric::clamped_sim_threads(&eng)
+                eng.sim_threads
             } else {
                 1
             },
-            watchdog_cycles: eng.watchdog_cycles.and_then(|w| (w > 0).then_some(w)),
+            watchdog_cycles: eng.watchdog_cycles.filter(|&w| w > 0),
             trace: eng.trace,
             ..ServeConfig::default()
         }
     }
 
-    /// Runs the rate sweep, fanning points across `--jobs` worker
-    /// threads. Results land in per-point indexed slots, so the output
-    /// is byte-identical at any job count.
+    /// Runs the rate sweep, fanning rate points across `--jobs` workers
+    /// ([`engine::par_map`]), so the output is byte-identical at any job
+    /// count. Each rate's serving trace (under `--trace`) is kept as
+    /// `rate-<permille>`; a rate with device watchdog trips is a failure.
     ///
     /// # Errors
     ///
     /// A point whose completions diverge from the golden reference (or
     /// whose scheduler stalls) aborts the sweep with a one-line summary
     /// naming the rate — the `repro` binary turns it into exit 1.
-    #[allow(clippy::type_complexity)]
-    pub fn sweep(
+    pub fn run(
         scope: Scope,
         opts: &ServeSweepOptions,
-    ) -> Result<(Vec<ServePoint>, Vec<(String, TraceReport)>), String> {
-        sweep_with_jobs(
-            scope,
-            opts,
-            crate::engine::global_config().effective_jobs().max(1),
-        )
-    }
-
-    /// [`sweep`](fn@sweep) with an explicit worker count instead of the global
-    /// engine config — the byte-identity tests compare `jobs = 1`
-    /// against `jobs = 4` without touching process-global state.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`sweep`](fn@sweep).
-    #[allow(clippy::type_complexity)]
-    pub fn sweep_with_jobs(
-        scope: Scope,
-        opts: &ServeSweepOptions,
-        jobs: usize,
-    ) -> Result<(Vec<ServePoint>, Vec<(String, TraceReport)>), String> {
-        let n = opts.rates_permille.len();
-        let jobs = jobs.max(1).min(n.max(1));
-        let slots: Vec<Mutex<Option<Result<ServeReport, String>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let rate = opts.rates_permille[i];
-                    let cfg = point_config(&scope, opts, rate);
-                    let res = ::serve::run(&cfg).map_err(|e| format!("serve rate={rate}: {e}"));
-                    *slots[i].lock().unwrap() = Some(res);
-                });
-            }
+        eng: &EngineConfig,
+    ) -> Result<Report<ServePoint>, String> {
+        let reports = engine::par_map(&opts.rates_permille, eng.effective_jobs(), |_, &rate| {
+            ::serve::run(&point_config(&scope, opts, eng, rate))
+                .map_err(|e| format!("serve rate={rate}: {e}"))
         });
-        let mut points = Vec::with_capacity(n);
-        let mut traces = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let rep = slot
-                .into_inner()
-                .unwrap()
-                .expect("every sweep slot is filled")?;
+        let mut report = Report::text(String::new());
+        for (&rate, rep) in opts.rates_permille.iter().zip(reports) {
+            let mut rep = rep?;
             if rep.golden_mismatches > 0 {
                 return Err(format!(
-                    "serve rate={}: {} completion(s) diverged from the golden reference",
-                    opts.rates_permille[i], rep.golden_mismatches
+                    "serve rate={rate}: {} completion(s) diverged from the golden reference",
+                    rep.golden_mismatches
                 ));
             }
             if !rep.trace.is_empty() {
-                traces.push((
-                    format!("rate-{}", opts.rates_permille[i]),
-                    rep.trace.clone(),
+                report
+                    .traces
+                    .push((format!("rate-{rate}"), std::mem::take(&mut rep.trace)));
+            }
+            if rep.watchdog_trips > 0 {
+                report.failures.push(format!(
+                    "serve rate={rate}: {} device watchdog trip(s)",
+                    rep.watchdog_trips
                 ));
             }
-            points.push(ServePoint::from_report(&rep));
+            report.rows.push(ServePoint::from_report(&rep));
         }
-        Ok((points, traces))
+        report.text = render(&report.rows);
+        Ok(report)
     }
 
     /// Renders the saturation curve as a text table.
-    pub fn render(points: &[ServePoint]) -> String {
+    fn render(points: &[ServePoint]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1838,16 +1878,20 @@ mod tests {
     fn fig15_runs_at_tiny_scale() {
         let mut scope = tiny_scope();
         scope.shrink = 64;
-        let s = fig15::run(scope);
-        assert!(s.contains("no caches"));
-        assert!(s.contains("geo"));
+        let report = fig15::run(scope, &EngineConfig::default());
+        assert!(report.text.contains("no caches"));
+        assert!(report.text.contains("geo"));
+        assert_eq!(report.rows.len(), 2 * scope.benches().len() * 4);
+        assert!(report.failures.is_empty());
     }
 
     #[test]
     fn fabric_sweep_covers_devices_bandwidths_and_topologies() {
         let mut scope = tiny_scope();
         scope.shrink = 64;
-        let points = fabric::sweep(scope).expect("fault-free sweep cannot stall");
+        let report =
+            fabric::run(scope, &EngineConfig::default()).expect("fault-free sweep cannot stall");
+        let points = &report.rows;
         for algo in ["bfs", "pagerank"] {
             for devices in [1usize, 2, 4, 8] {
                 assert!(
@@ -1861,7 +1905,7 @@ mod tests {
         assert!(points.iter().any(|p| p.topology == "ring"));
         assert!(points.iter().any(|p| p.link_bw == 1));
         assert!(points.iter().any(|p| p.link_bw == 16));
-        for p in &points {
+        for p in points {
             assert!(p.cycles > 0 && p.gteps > 0.0, "empty point {p:?}");
             if p.devices == 1 {
                 assert_eq!(p.exchange_cycles, 0);
@@ -1873,21 +1917,22 @@ mod tests {
             assert!(p.link_occupancy_peak >= p.link_occupancy_mean);
         }
         // Exports carry the link columns.
-        let csv = simkit::record::to_csv(&points);
+        let csv = simkit::record::to_csv(points);
         assert!(csv.starts_with("bench,algo,devices,topology,link_bw,"));
         assert!(csv.contains("link_occupancy_mean"));
         assert!(csv.contains("retransmits"));
         assert!(csv.contains("recovery_attempts"));
-        let rendered = fabric::render(&points);
-        assert!(rendered.contains("== fabric:"));
-        assert!(rendered.contains("all-to-all"));
+        assert!(report.text.contains("== fabric:"));
+        assert!(report.text.contains("all-to-all"));
     }
 
     #[test]
     fn chaos_fabric_masks_faults_and_recovers_from_black_hole() {
         let mut scope = tiny_scope();
         scope.shrink = 64;
-        let points = chaos_fabric::sweep(scope).expect("chaos sweep must complete");
+        let report =
+            chaos_fabric::run(scope, &EngineConfig::default()).expect("chaos sweep must complete");
+        let points = &report.rows;
         assert!(
             points.iter().all(|p| p.values_exact),
             "some rows diverged: {points:#?}"
@@ -1907,7 +1952,7 @@ mod tests {
             "duplicate rows show no dup drops: {points:#?}"
         );
         // Maskable rows must never roll back; black-hole rows must.
-        for p in &points {
+        for p in points {
             if p.profile == "black-hole" {
                 assert!(
                     p.recovery_attempts > 0 && p.recovery_cycles_lost > 0,
@@ -1917,11 +1962,10 @@ mod tests {
                 assert_eq!(p.recovery_attempts, 0, "maskable row rolled back: {p:?}");
             }
         }
-        let csv = simkit::record::to_csv(&points);
+        let csv = simkit::record::to_csv(points);
         assert!(csv.starts_with("bench,algo,profile,devices,"));
         assert!(csv.contains("values_exact"));
-        let rendered = chaos_fabric::render(&points);
-        assert!(rendered.contains("== chaos-fabric:"));
-        assert!(rendered.contains("black-hole"));
+        assert!(report.text.contains("== chaos-fabric:"));
+        assert!(report.text.contains("black-hole"));
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! Runs the quick-scope benchmark × algorithm matrix and renders, for each
 //! run, where every PE cycle went: the exhaustive
-//! [`accel::PeCycleBreakdown`] classes (exactly one per PE-cycle, so the
-//! table always accounts for 100% of them) plus the MOMS-side pressure
-//! split (MSHR-full vs subentry-full vs memory-queue-full refusals) that
-//! explains *why* the PEs saw backpressure.
+//! [`accel::PeCycleBreakdown`] classes (exactly one per PE-cycle) plus the
+//! MOMS-side pressure split (MSHR-full vs subentry-full vs
+//! memory-queue-full refusals) that explains *why* the PEs saw
+//! backpressure. The `accounted` line checks each single-device
+//! attribution against cycles × PEs.
 //!
-//! Points flow through the standard runner funnel, so `--fault-profile`,
-//! `--watchdog-cycles`, and `--trace` all apply: `repro explain --trace
-//! out.json` both prints the attribution and exports the event timeline.
+//! Points run through [`engine::run_points`],
+//! so `--jobs`, `--timeout-secs`, `--fault-profile`, `--watchdog-cycles`,
+//! and `--trace` all apply: `repro explain --trace out.json` both prints
+//! the attribution and exports the event timeline.
 
 use std::fmt::Write as _;
 
@@ -17,8 +19,9 @@ use accel::{Fabric, MetricsSnapshot, PeCycleBreakdown};
 use algos::Algorithm;
 
 use crate::arch::ArchPoint;
+use crate::engine::{self, EngineConfig, Outcome, PointSpec, Report};
 use crate::experiments::Scope;
-use crate::runner::{prepare_graph, run_graph_outcome, RunFailure, RunSpec};
+use crate::runner::{prepare_graph, RunSpec};
 
 /// Renders the per-class PE-cycle table shared by the single-device and
 /// fabric attributions.
@@ -39,8 +42,8 @@ fn render_breakdown(out: &mut String, b: &PeCycleBreakdown) {
     }
 }
 
-/// Renders the attribution table for one finished run.
-fn render_one(out: &mut String, label: &str, cycles: u64, m: &MetricsSnapshot) {
+/// Renders the attribution table for one finished run on `pes` PEs.
+fn render_one(out: &mut String, label: &str, cycles: u64, pes: usize, m: &MetricsSnapshot) {
     let b: PeCycleBreakdown = m.pe_cycles;
     let _ = writeln!(
         out,
@@ -57,42 +60,53 @@ fn render_one(out: &mut String, label: &str, cycles: u64, m: &MetricsSnapshot) {
             stalls.stall_mshr_full, stalls.stall_subentry_full, stalls.stall_mem_full
         );
     }
-    let accounted = 100.0 * b.total() as f64 / b.total().max(1) as f64;
+    // Exhaustive attribution covers cycles × PEs exactly (100.0%).
+    let accounted = 100.0 * b.total() as f64 / (cycles * pes as u64).max(1) as f64;
     let _ = writeln!(out, "  accounted: {accounted:.1}% of PE cycles");
 }
 
-/// Runs the quick matrix and renders per-run stall attribution.
-pub fn run(scope: Scope) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== explain: where did the cycles go? ==");
+/// Runs the quick matrix and renders per-run stall attribution, then one
+/// fabric and one serving attribution. The report's rows (and traces)
+/// are the single-device points.
+pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
     let arch = ArchPoint::two_level_16_16();
+    let mut points = Vec::new();
     for bench in scope.benches() {
         for (algo, max_iterations) in scope.algos() {
             let mut spec = RunSpec::new(arch);
             spec.shrink = scope.shrink;
             spec.max_iterations = max_iterations;
-            let g = prepare_graph(bench, spec.pre, spec.shrink, algo.is_weighted());
-            let label = format!("{}/{}/{}", bench.tag(), algo.name(), spec.arch.name);
-            match run_graph_outcome(&g, bench.tag(), algo, &spec, None) {
-                Ok((row, metrics)) => render_one(&mut out, &label, row.cycles, &metrics),
-                Err(RunFailure::TimedOut) => {
-                    let _ = writeln!(out, "-- {label}: timed out --");
-                }
-                Err(RunFailure::Failed(msg)) => {
-                    let _ = writeln!(out, "-- {label}: failed: {msg} --");
-                }
+            points.push(PointSpec { bench, algo, spec });
+        }
+    }
+    let results = engine::run_points(&points, eng);
+
+    let mut out = String::new();
+    let _ = writeln!(out, "== explain: where did the cycles go? ==");
+    for r in &results {
+        let label = format!("{}/{}/{}", r.bench, r.algo, r.arch);
+        match (&r.row, &r.metrics, r.outcome) {
+            (Some(row), Some(metrics), _) => {
+                render_one(&mut out, &label, row.cycles, arch.pes, metrics);
+            }
+            (_, _, Outcome::TimedOut) => {
+                let _ = writeln!(out, "-- {label}: timed out --");
+            }
+            _ => {
+                let msg = r.error.as_deref().unwrap_or_default();
+                let _ = writeln!(out, "-- {label}: failed: {msg} --");
             }
         }
     }
-    render_fabric(&mut out, scope, arch);
+    render_fabric(&mut out, scope, arch, eng);
     render_serve(&mut out, scope);
-    out
+    Report::from_points(out, results)
 }
 
 /// Appends one 4-device fabric attribution, so the Link section
 /// (`link/barrier-wait` plus the exchange/occupancy summary) shows up in
 /// the same report that explains single-device stalls.
-fn render_fabric(out: &mut String, scope: Scope, arch: ArchPoint) {
+fn render_fabric(out: &mut String, scope: Scope, arch: ArchPoint, eng: &EngineConfig) {
     let bench = scope.benches()[0];
     let algo = Algorithm::pagerank();
     let mut spec = RunSpec::new(arch);
@@ -101,14 +115,14 @@ fn render_fabric(out: &mut String, scope: Scope, arch: ArchPoint) {
     let mut rc = spec.run_config();
     rc.max_iterations = Some(2);
     rc.devices = 4;
-    crate::experiments::fabric::apply_link_overlay(&mut rc, &crate::engine::global_config());
+    eng.apply(&mut rc);
     let label = format!(
         "{}/{}/{} x4 devices",
         bench.tag(),
         algo.name(),
         spec.arch.name
     );
-    let r = match Fabric::new(&g, algo, &rc).run_to_outcome(None) {
+    let r = match Fabric::new(&g, algo, &rc).run_to_outcome(eng.deadline()) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(
@@ -224,12 +238,22 @@ mod tests {
             full: false,
             shrink: 64,
         };
-        let report = run(scope);
+        let report = run(scope, &EngineConfig::default()).text;
         assert!(report.contains("== explain:"), "{report}");
-        assert!(
-            report.contains("accounted: 100.0% of PE cycles"),
-            "attribution must be exhaustive:\n{report}"
-        );
+        // One line per single-device point, each checked against
+        // cycles × PEs.
+        let accounted: Vec<&str> = report
+            .lines()
+            .filter(|l| l.contains("accounted:"))
+            .collect();
+        assert_eq!(accounted.len(), scope.benches().len() * scope.algos().len());
+        for line in accounted {
+            assert_eq!(
+                line.trim(),
+                "accounted: 100.0% of PE cycles",
+                "attribution must be exhaustive:\n{report}"
+            );
+        }
         assert!(report.contains("stream/productive"), "{report}");
     }
 
@@ -239,7 +263,7 @@ mod tests {
             full: false,
             shrink: 64,
         };
-        let report = run(scope);
+        let report = run(scope, &EngineConfig::default()).text;
         assert!(report.contains("x4 devices"), "{report}");
         assert!(
             report.contains("link/barrier-wait"),

@@ -85,6 +85,8 @@ use moms::Topology;
 use simkit::fuzz::{case_seed, shrink, KvLine, ShrinkOutcome};
 use simkit::{FaultConfig, FaultProfile, SplitMix64};
 
+use crate::engine::Report;
+
 /// Deterministic work-to-wall-clock conversion for `--budget-secs`: the
 /// budget is spent in *simulated cycles* (summed over every oracle run),
 /// so the same seed and budget always run the same case sequence and
@@ -1278,11 +1280,11 @@ fn save_to_corpus(
 // Run loop and replay
 // ---------------------------------------------------------------------
 
-/// Runs the budgeted fuzz loop. `Ok` carries the summary to print;
-/// `Err` carries the one-line failure summary (with the minimized
-/// reproduction command) for a nonzero exit, matching the
-/// fabric/chaos-fabric convention.
-pub fn run(opts: &FuzzOptions) -> Result<String, String> {
+/// Runs the budgeted fuzz loop. `Ok` carries the summary to print (a
+/// text-only [`Report`]); `Err` carries the one-line failure summary
+/// (with the minimized reproduction command) for a nonzero exit,
+/// matching the fabric/chaos-fabric convention.
+pub fn run(opts: &FuzzOptions) -> Result<Report, String> {
     let work_budget = opts
         .budget_secs
         .map(|s| s.saturating_mul(WORK_CYCLES_PER_SEC));
@@ -1333,11 +1335,11 @@ pub fn run(opts: &FuzzOptions) -> Result<String, String> {
             eprintln!("fuzz: {index} cases, {work} work-cycles");
         }
     }
-    Ok(format!(
+    Ok(Report::text(format!(
         "fuzz seed={} cases={index} pass={passed} timed-out={timed_out} \
          work-cycles={work} oracle-violations=0\n",
         opts.seed
-    ))
+    )))
 }
 
 /// Shrinks a failing case, saves it to the corpus, and renders the
@@ -1405,7 +1407,7 @@ fn handle_failure(
 /// Replays one case from a `--replay` spec: `master:index` re-samples
 /// from seeds, `@path` loads a corpus file (honouring its `corrupt=`
 /// key). `Ok` is the pass summary, `Err` the one-line failure.
-pub fn replay(spec: &str, opts: &FuzzOptions) -> Result<String, String> {
+pub fn replay(spec: &str, opts: &FuzzOptions) -> Result<Report, String> {
     let case = if let Some(path) = spec.strip_prefix('@') {
         let body = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read corpus file {path}: {e}"))?;
@@ -1419,9 +1421,9 @@ pub fn replay(spec: &str, opts: &FuzzOptions) -> Result<String, String> {
     };
     eprintln!("replaying: {}", case.encode());
     match check_case(&case, opts) {
-        CaseOutcome::Pass { work } => Ok(format!(
+        CaseOutcome::Pass { work } => Ok(Report::text(format!(
             "replay {spec}: pass (all applicable oracles held, work-cycles={work})\n"
-        )),
+        ))),
         CaseOutcome::TimedOut => Err(format!(
             "replay {spec}: timed out after {:?} (raise --timeout-secs)",
             opts.per_case_timeout
@@ -1598,7 +1600,7 @@ mod tests {
         let CaseOutcome::Pass { work } = direct_outcome else {
             panic!("pilot case unexpectedly failed: {direct_outcome:?}")
         };
-        let summary = replay("13:2", &opts).expect("replay failed");
+        let summary = replay("13:2", &opts).expect("replay failed").text;
         assert!(
             summary.contains(&format!("work-cycles={work}")),
             "replay ran a different case: {summary}"

@@ -1,8 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation section on the scaled benchmark suite.
 //!
-//! Each experiment module renders a text report shaped like the paper's
-//! table/figure (same rows/series); the `repro` binary dispatches to them.
+//! Each experiment module returns a [`Report`]: a text table shaped like
+//! the paper's table/figure (same rows/series) plus the structured rows,
+//! traces and failures behind it. The `repro` binary dispatches to them
+//! and exports every report the same way.
 //! See EXPERIMENTS.md at the repository root for the recorded
 //! paper-vs-measured comparison.
 
@@ -13,15 +15,11 @@ pub mod experiments;
 pub mod explain;
 pub mod fuzz;
 pub mod microbench;
-pub mod perf;
 pub mod runner;
 
 pub use arch::ArchPoint;
-pub use engine::{EngineConfig, Outcome, PointResult, PointSpec};
-pub use perf::PerfPoint;
-pub use runner::{
-    prepare_graph, run_graph, run_graph_outcome, CacheVariant, Row, RunFailure, RunSpec,
-};
+pub use engine::{EngineConfig, Outcome, PointResult, PointSpec, Report};
+pub use runner::{prepare_graph, run_graph_outcome, CacheVariant, Row, RunFailure, RunSpec};
 
 /// Geometric mean of positive values; 0 for an empty slice.
 pub fn geomean(xs: &[f64]) -> f64 {

@@ -1,15 +1,15 @@
 //! Runs one (benchmark, algorithm, architecture) point through the
 //! simulator and reports a result row.
 
-use std::time::Instant;
-
 use accel::{RunConfig, System};
 use algos::Algorithm;
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 use graph::CooGraph;
+use simkit::trace::TraceReport;
 
 use crate::arch::ArchPoint;
+use crate::engine::EngineConfig;
 
 pub use accel::CacheVariant;
 
@@ -99,8 +99,6 @@ pub struct Row {
     pub hit_rate: f64,
     /// DRAM lines fetched by the MOMS (irregular-read traffic).
     pub moms_dram_lines: u64,
-    /// Host wall-clock seconds spent simulating.
-    pub sim_seconds: f64,
 }
 
 /// Builds the preprocessed graph for a benchmark.
@@ -123,45 +121,33 @@ pub enum RunFailure {
     Failed(String),
 }
 
-/// Runs one point on a prebuilt graph, optionally bounded by a wall-clock
-/// deadline. Returns the table row and the run's structured metrics, or a
-/// [`RunFailure`] describing why the point produced none.
+/// Runs one point on a prebuilt graph with the run-level flags of `eng`
+/// applied (faults, watchdog, tracing, and `eng.timeout` as a wall-clock
+/// deadline from now). Returns the table row, the run's structured
+/// metrics and its trace, or a [`RunFailure`] describing why the point
+/// produced none.
 ///
-/// Every run path funnels through here, so this is where three pieces of
-/// global hardening apply: the engine's fault/watchdog overlay
-/// ([`crate::engine::global_config`]), panic containment (a panicking
-/// simulation becomes [`RunFailure::Failed`], not a crashed sweep), and
-/// the global result recorder when enabled.
+/// This is the one fallible single-point function: a panicking
+/// simulation becomes [`RunFailure::Failed`], not a crashed sweep. It
+/// records nothing; a watchdog stall's diagnostic snapshot goes to
+/// stderr.
 pub fn run_graph_outcome(
     g: &CooGraph,
     bench_tag: &str,
     algo: Algorithm,
     spec: &RunSpec,
-    deadline: Option<Instant>,
-) -> Result<(Row, accel::MetricsSnapshot), RunFailure> {
-    let eng = crate::engine::global_config();
-    let t = Instant::now();
+    eng: &EngineConfig,
+) -> Result<(Row, accel::MetricsSnapshot, TraceReport), RunFailure> {
+    let deadline = eng.deadline();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut rc = spec.run_config();
-        rc.fault = eng.fault;
-        if let Some(wc) = eng.watchdog_cycles {
-            rc.watchdog_cycles = (wc > 0).then_some(wc);
-        }
-        rc.trace = eng.trace;
+        eng.apply(&mut rc);
         let (cfg, partitioner) = rc.build();
         let mut sys = System::new(g, partitioner, algo, cfg);
         sys.run_to_outcome(deadline)
     }));
-    let sim_seconds = t.elapsed().as_secs_f64();
-    let out = match outcome {
-        Ok(Ok(mut result)) => {
-            let trace = std::mem::take(&mut result.trace);
-            if !trace.is_empty() {
-                crate::engine::maybe_record_trace(
-                    || format!("{bench_tag}-{}-{}", algo.name(), spec.arch.name),
-                    || trace,
-                );
-            }
+    match outcome {
+        Ok(Ok(result)) => {
             let freq = spec.arch.frequency_mhz(spec.channels, &algo);
             let row = Row {
                 bench: bench_tag.to_owned(),
@@ -174,9 +160,8 @@ pub fn run_graph_outcome(
                 gteps: result.gteps(freq),
                 hit_rate: result.cache_hit_rate,
                 moms_dram_lines: result.stats.get("dram_line_requests"),
-                sim_seconds,
             };
-            Ok((row, result.metrics))
+            Ok((row, result.metrics, result.trace))
         }
         Ok(Err(accel::RunError::TimedOut)) => Err(RunFailure::TimedOut),
         Ok(Err(accel::RunError::Stalled(snap))) => {
@@ -190,32 +175,7 @@ pub fn run_graph_outcome(
         Err(payload) => Err(RunFailure::Failed(crate::engine::panic_message(
             payload.as_ref(),
         ))),
-    };
-    if matches!(out, Err(RunFailure::Failed(_))) {
-        crate::engine::note_point_failure();
     }
-    crate::engine::maybe_record(|| {
-        crate::engine::PointResult::from_outcome(bench_tag, algo, spec, &out, sim_seconds)
-    });
-    out
-}
-
-/// Runs one point on a prebuilt graph.
-///
-/// # Panics
-///
-/// Panics when the simulation fails (see [`run_graph_outcome`]).
-pub fn run_graph(g: &CooGraph, bench_tag: &str, algo: Algorithm, spec: &RunSpec) -> Row {
-    match run_graph_outcome(g, bench_tag, algo, spec, None) {
-        Ok((row, _)) => row,
-        Err(RunFailure::TimedOut) => unreachable!("run without a deadline cannot time out"),
-        Err(RunFailure::Failed(msg)) => panic!("simulation failed: {msg}"),
-    }
-}
-
-/// The iteration cap used for PageRank in throughput experiments.
-pub fn pagerank_for_experiments() -> (Algorithm, Option<u32>) {
-    (Algorithm::pagerank(), Some(2))
 }
 
 #[cfg(test)]
@@ -227,7 +187,15 @@ mod tests {
         let mut spec = RunSpec::new(ArchPoint::two_level_16_16());
         spec.shrink = 32;
         let g = prepare_graph(BenchmarkId::Wt, spec.pre, spec.shrink, false);
-        let row = run_graph(&g, BenchmarkId::Wt.tag(), Algorithm::Scc, &spec);
+        let (row, _, trace) = run_graph_outcome(
+            &g,
+            BenchmarkId::Wt.tag(),
+            Algorithm::Scc,
+            &spec,
+            &EngineConfig::default(),
+        )
+        .expect("fault-free point completes");
+        assert!(trace.is_empty(), "tracing is off by default");
         assert!(row.gteps > 0.0);
         assert!(row.cycles > 0);
         assert_eq!(row.bench, "WT");
@@ -240,7 +208,14 @@ mod tests {
         spec.shrink = 32;
         spec.caches = CacheVariant::None;
         let g = prepare_graph(BenchmarkId::R24, spec.pre, spec.shrink, false);
-        let row = run_graph(&g, BenchmarkId::R24.tag(), Algorithm::Scc, &spec);
+        let (row, _, _) = run_graph_outcome(
+            &g,
+            BenchmarkId::R24.tag(),
+            Algorithm::Scc,
+            &spec,
+            &EngineConfig::default(),
+        )
+        .expect("fault-free point completes");
         assert_eq!(row.hit_rate, 0.0);
     }
 

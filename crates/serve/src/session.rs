@@ -154,7 +154,7 @@ mod tests {
         ] {
             for algo in algos {
                 let rc = Driver::new().execution(mode).run_config(&g);
-                let whole = Driver::new().execution(mode).run(&g, algo);
+                let whole = Driver::new().execution(mode).run(&g, algo).unwrap();
                 for quantum in [1, 3, u32::MAX] {
                     let what = format!("{} {mode:?} quantum {quantum}", algo.name());
                     let mut s = Session::fresh(&g, algo, &rc);

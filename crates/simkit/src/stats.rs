@@ -113,120 +113,6 @@ impl fmt::Display for Stats {
     }
 }
 
-/// A fixed-geometry histogram of `u64` samples with an explicit overflow
-/// bucket, used by the tracing layer for occupancy distributions.
-///
-/// Buckets are linear: bucket `i` covers `[i * width, (i + 1) * width)`,
-/// and anything at or above `buckets * width` lands in the overflow
-/// bucket. All arithmetic saturates, so pathological samples (`u64::MAX`)
-/// cannot poison the summary.
-///
-/// # Example
-///
-/// ```
-/// use simkit::stats::Histogram;
-/// let mut h = Histogram::linear(10, 8);
-/// for v in [3, 5, 5, 70, 200] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 5);
-/// assert_eq!(h.overflow(), 1); // 200 >= 10 * 8
-/// // The median falls in the first bucket; its upper edge is 9.
-/// assert_eq!(h.percentile(50.0), Some(9));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    width: u64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` linear buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` or `buckets` is zero.
-    pub fn linear(width: u64, buckets: usize) -> Self {
-        assert!(width > 0 && buckets > 0, "degenerate histogram geometry");
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = (v / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] = self.counts[idx].saturating_add(1);
-        } else {
-            self.overflow = self.overflow.saturating_add(1);
-        }
-        self.total = self.total.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Samples that fell past the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Largest sample seen (zero when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The `p`-th percentile (0–100) as an upper bound of the bucket the
-    /// rank falls into; `None` when the histogram is empty. Overflow
-    /// samples report the true maximum.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        // Rank of the sample that bounds the percentile (1-based).
-        let rank = ((p / 100.0 * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Upper edge of bucket i, clamped to the observed max.
-                let edge = (i as u64 + 1).saturating_mul(self.width) - 1;
-                return Some(edge.min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Per-bucket counts, overflow excluded.
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
 /// Time-bucketed aggregation of a sampled quantity: for each window of
 /// `bucket_cycles` simulated cycles, the count, sum, and maximum of the
 /// samples that fell inside it. Backs the exported occupancy series.
@@ -367,74 +253,6 @@ mod tests {
         s.inc("a");
         let names: Vec<_> = s.iter().map(|(k, _)| k.to_owned()).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn empty_histogram_reports_nothing() {
-        let h = Histogram::linear(8, 4);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.percentile(100.0), None);
-    }
-
-    #[test]
-    fn single_sample_histogram() {
-        let mut h = Histogram::linear(10, 4);
-        h.record(7);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 7);
-        assert!((h.mean() - 7.0).abs() < 1e-12);
-        // Every percentile of a one-sample histogram is that sample's
-        // bucket, clamped to the observed max.
-        assert_eq!(h.percentile(0.0), Some(7));
-        assert_eq!(h.percentile(50.0), Some(7));
-        assert_eq!(h.percentile(100.0), Some(7));
-    }
-
-    #[test]
-    fn histogram_percentiles_walk_buckets() {
-        let mut h = Histogram::linear(10, 10);
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(10.0), Some(9)); // first bucket's edge
-        assert_eq!(h.percentile(50.0), Some(49));
-        assert_eq!(h.percentile(99.0), Some(99));
-        assert_eq!(h.percentile(100.0), Some(99));
-    }
-
-    #[test]
-    fn histogram_overflow_bucket_catches_large_samples() {
-        let mut h = Histogram::linear(4, 2); // covers [0, 8)
-        h.record(3);
-        h.record(8);
-        h.record(1_000);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 1_000);
-        // Ranks past the in-range buckets resolve to the true maximum.
-        assert_eq!(h.percentile(100.0), Some(1_000));
-        assert_eq!(h.percentile(1.0), Some(3));
-    }
-
-    #[test]
-    fn histogram_saturates_instead_of_overflowing() {
-        let mut h = Histogram::linear(u64::MAX, 1);
-        h.record(u64::MAX);
-        h.record(u64::MAX); // sum would overflow without saturation
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.overflow(), 2); // MAX / MAX == 1 == bucket count
-        assert!(h.mean() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate histogram geometry")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::linear(0, 4);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! per line (`#`/`%` comments allowed). Without it, a power-law graph is
 //! generated.
 
-use accel::Driver;
+use accel::{Driver, RunError};
 use algos::{golden, Algorithm};
 use graph::{CooGraph, GraphSpec};
 
@@ -31,7 +31,7 @@ fn load_graph() -> CooGraph {
     }
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let g = load_graph();
     println!("graph: {} nodes, {} edges", g.num_nodes(), g.num_edges());
 
@@ -39,7 +39,7 @@ fn main() {
     // symmetrised graph.
     let sym = g.symmetrized();
     let driver = Driver::new().pes(8).channels(4);
-    let result = driver.run(&sym, Algorithm::Wcc);
+    let result = driver.run(&sym, Algorithm::Wcc)?;
     assert_eq!(
         result.values,
         golden::run(&Algorithm::Wcc, &sym),
@@ -62,7 +62,7 @@ fn main() {
     );
 
     // And a PageRank pass on the directed graph.
-    let pr = driver.run(&g, Algorithm::pagerank());
+    let pr = driver.run(&g, Algorithm::pagerank())?;
     let mut top: Vec<(usize, f32)> = pr
         .values
         .iter()
@@ -74,4 +74,5 @@ fn main() {
     for (node, score) in top.into_iter().take(3) {
         println!("  node {node:>8}: {score:.6}");
     }
+    Ok(())
 }

@@ -6,11 +6,11 @@
 //! cargo run --release -p bench --example quickstart
 //! ```
 
-use accel::{System, SystemConfig};
+use accel::{RunError, System, SystemConfig};
 use algos::{golden, Algorithm};
 use graph::{GraphSpec, Partitioner};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // 1. A small power-law graph: 2^12 nodes, average degree 8.
     let g = GraphSpec::rmat(12, 8).build(42);
     println!("graph: {} nodes, {} edges", g.num_nodes(), g.num_edges());
@@ -24,7 +24,7 @@ fn main() {
         algo,
         SystemConfig::small(),
     );
-    let result = sys.run();
+    let result = sys.run_to_outcome(None)?;
 
     println!(
         "simulated {} cycles over {} iterations ({:.3} edges/cycle, {:.3} GTEPS at 200 MHz)",
@@ -58,4 +58,5 @@ fn main() {
     for (node, score) in ranked.into_iter().take(5) {
         println!("  node {node:>6}: {score:.6}");
     }
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p bench --example road_routing
 //! ```
 
-use accel::{System, SystemConfig};
+use accel::{RunError, System, SystemConfig};
 use algos::{golden, Algorithm};
 use graph::{CooGraph, Partitioner};
 
@@ -49,7 +49,7 @@ fn road_network(side: u32, seed: u64) -> CooGraph {
     CooGraph::from_weighted_edges(n, edges, weights)
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let side = 64u32;
     let g = road_network(side, 1234);
     println!(
@@ -68,7 +68,7 @@ fn main() {
         algo,
         SystemConfig::small(),
     );
-    let result = sys.run();
+    let result = sys.run_to_outcome(None)?;
 
     println!(
         "converged after {} iterations, {} cycles, {:.3} edges/cycle",
@@ -95,4 +95,5 @@ fn main() {
         .filter(|&&d| d != algos::spec::UNREACHED)
         .count();
     println!("{reachable}/{} nodes reachable", g.num_nodes());
+    Ok(())
 }

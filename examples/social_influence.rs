@@ -12,11 +12,11 @@
 //! ```
 
 use algos::Algorithm;
-use bench::{run_graph, ArchPoint, RunSpec};
+use bench::{run_graph_outcome, ArchPoint, EngineConfig, RunFailure, RunSpec};
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 
-fn main() {
+fn main() -> Result<(), RunFailure> {
     // twitter_rv stand-in at 1/16 of the default scale for a fast demo.
     let bench = BenchmarkId::Rv;
     let g = bench.build(16);
@@ -49,7 +49,8 @@ fn main() {
         let mut spec = RunSpec::new(arch);
         spec.shrink = 16;
         spec.max_iterations = Some(2); // steady-state throughput
-        let row = run_graph(&g, bench.tag(), algo, &spec);
+        let (row, _, _) =
+            run_graph_outcome(&g, bench.tag(), algo, &spec, &EngineConfig::default())?;
         println!(
             "{:<16} {:>10.3} {:>12} {:>14} {:>9.1}%",
             row.arch,
@@ -63,4 +64,5 @@ fn main() {
         "\nThe two-level MOMS coalesces repeated reads of hub nodes into few\n\
          DRAM fetches; the traditional cache stalls on its 16-entry MSHR file."
     );
+    Ok(())
 }

@@ -15,11 +15,11 @@
 use std::collections::HashMap;
 
 use algos::{golden, Algorithm};
-use bench::{run_graph, ArchPoint, RunSpec};
+use bench::{run_graph_outcome, ArchPoint, EngineConfig, RunFailure, RunSpec};
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 
-fn main() {
+fn main() -> Result<(), RunFailure> {
     // uk-2005 stand-in, shrunk for a fast demo.
     let bench = BenchmarkId::Uk;
     let base = bench.build(16);
@@ -40,7 +40,8 @@ fn main() {
         let mut spec = RunSpec::new(ArchPoint::two_level_16_16());
         spec.shrink = 16;
         spec.pre = pre;
-        let row = run_graph(&g, bench.tag(), algo, &spec);
+        let (row, _, _) =
+            run_graph_outcome(&g, bench.tag(), algo, &spec, &EngineConfig::default())?;
         println!(
             "{:<10} {:>10.3} {:>12} {:>14}",
             pre.name(),
@@ -63,4 +64,5 @@ fn main() {
     for (label, count) in by_size.into_iter().take(5) {
         println!("  label {label:>8}: {count} nodes");
     }
+    Ok(())
 }

@@ -51,6 +51,17 @@ fn fnv1a(values: &[u32]) -> u64 {
     h
 }
 
+/// The PE-cycle breakdown attributes every PE-cycle to exactly one
+/// class, so its total is cycles × PEs (over all devices of a fabric) —
+/// the denominator `repro explain` divides by.
+fn assert_pe_cycles_exhaustive(label: &str, attributed: u64, cycles: u64, pes: usize) {
+    assert_eq!(
+        attributed,
+        cycles * pes as u64,
+        "{label}: PE-cycle breakdown must cover {cycles} cycles x {pes} PEs exactly"
+    );
+}
+
 /// Renders the golden table: one `bench,algo,arch,cycles,values_fnv` line
 /// per point of the quick-scope matrix, in deterministic enumeration
 /// order.
@@ -65,8 +76,17 @@ fn render_table() -> String {
                 let mut spec = RunSpec::new(arch);
                 spec.shrink = PIN_SHRINK;
                 spec.max_iterations = iters;
-                let (cfg, partitioner) = spec.run_config().build();
-                let result = System::new(&g, partitioner, algo, cfg).run();
+                let rc = spec.run_config();
+                let (cfg, partitioner) = rc.build();
+                let result = System::new(&g, partitioner, algo, cfg)
+                    .run_to_outcome(None)
+                    .unwrap();
+                assert_pe_cycles_exhaustive(
+                    &format!("{}/{}/{}", bench.tag(), algo.name(), arch.name),
+                    result.metrics.pe_cycles.total(),
+                    result.cycles,
+                    rc.num_pes(),
+                );
                 let _ = writeln!(
                     out,
                     "{},{},{},{},{:016x}",
@@ -115,7 +135,18 @@ fn render_fabric_table() -> String {
             rc.devices = devices;
             rc.link.topology = topology;
             rc.sim_threads = 1;
-            let result = Fabric::new(&g, algo, &rc).run();
+            let result = Fabric::new(&g, algo, &rc).run_to_outcome(None).unwrap();
+            assert_pe_cycles_exhaustive(
+                &format!(
+                    "{}/{} x{devices} {}",
+                    bench.tag(),
+                    algo.name(),
+                    topology.name()
+                ),
+                result.pe_cycles.total(),
+                result.cycles,
+                rc.num_pes() * devices,
+            );
             let _ = writeln!(
                 out,
                 "{},{},fabric{}-{},{},{:016x}",
@@ -166,7 +197,9 @@ fn render_degenerate_table() -> String {
     let mut out = String::new();
     for (tag, g, algo) in degenerate_shapes() {
         let (cfg, partitioner) = accel::Driver::new().run_config(&g).build();
-        let result = System::new(&g, partitioner, algo, cfg).run();
+        let result = System::new(&g, partitioner, algo, cfg)
+            .run_to_outcome(None)
+            .unwrap();
         let _ = writeln!(
             out,
             "{tag},{},default,{},{:016x}",

@@ -5,6 +5,10 @@
 //!   regardless of worker count: results are written into per-point
 //!   slots and host timing never reaches the exported fields, so
 //!   `--jobs 1` and `--jobs 4` cannot be told apart from the output.
+//!   That holds for every experiment, since each one runs its points
+//!   through the engine and returns them in its report.
+//! * A stalled point is a `failed` row plus a failure line in the
+//!   experiment's report, never a panic that takes the sweep down.
 //! * Idle skipping is a host-side optimisation only: with it on or off,
 //!   a run must report the same simulated cycle count, the same result
 //!   values, the same merged statistics, and the same trace event
@@ -13,12 +17,14 @@
 
 use accel::{System, SystemConfig};
 use algos::Algorithm;
-use bench::engine::{run_points, EngineConfig, PointSpec};
+use bench::engine::{run_points, EngineConfig, Outcome, PointSpec};
+use bench::experiments::{fig12, Scope};
 use bench::{ArchPoint, RunSpec};
 use graph::benchmarks::BenchmarkId;
 use graph::{CooGraph, GraphSpec, Partitioner};
 use simkit::record::{to_csv, to_json};
 use simkit::trace::{to_canonical, TraceConfig, TraceLevel};
+use simkit::{FaultConfig, FaultProfile};
 
 /// The small matrix both engine runs execute: two algorithms on two
 /// architectures of the smallest benchmark, heavily shrunk so the whole
@@ -67,6 +73,49 @@ fn sweep_exports_are_independent_of_worker_count() {
     );
 }
 
+fn fig12_scope() -> Scope {
+    Scope {
+        full: false,
+        shrink: 64,
+    }
+}
+
+#[test]
+fn fig12_rows_are_independent_of_worker_count() {
+    let serial = fig12::run(fig12_scope(), &engine_config(1));
+    let parallel = fig12::run(fig12_scope(), &engine_config(4));
+    assert_eq!(
+        serial.rows.len(),
+        2 * fig12_scope().benches().len() * fig12_scope().archs().len()
+    );
+    assert_eq!(to_json(&serial.rows), to_json(&parallel.rows));
+    assert_eq!(serial.text, parallel.text);
+    assert!(serial.failures.is_empty(), "{:?}", serial.failures);
+}
+
+#[test]
+fn fig12_reports_stalled_points_as_failed_rows() {
+    let eng = EngineConfig {
+        jobs: 2,
+        fault: FaultConfig {
+            profile: FaultProfile::BlackHole,
+            seed: 0,
+        },
+        watchdog_cycles: Some(50_000),
+        ..EngineConfig::default()
+    };
+    let report = fig12::run(fig12_scope(), &eng);
+    assert!(!report.rows.is_empty());
+    for r in &report.rows {
+        assert_eq!(r.outcome, Outcome::Failed, "{}", r.label());
+        let err = r.error.as_deref().expect("failed rows carry the stall");
+        assert!(err.starts_with("watchdog:"), "{err}");
+    }
+    assert_eq!(report.failures.len(), report.rows.len());
+    assert!(report.text.contains("failed"), "{}", report.text);
+    assert!(!report.text.contains("timeout"), "{}", report.text);
+}
+
 fn test_graph() -> CooGraph {
     GraphSpec::rmat(8, 6)
         .build(41)
@@ -80,7 +129,9 @@ fn run_with_skip(g: &CooGraph, algo: Algorithm, idle_skip: bool) -> accel::RunRe
         level: TraceLevel::Events,
         ..TraceConfig::default()
     };
-    System::new(g, Partitioner::new(256, 256), algo, cfg).run()
+    System::new(g, Partitioner::new(256, 256), algo, cfg)
+        .run_to_outcome(None)
+        .unwrap()
 }
 
 #[test]

@@ -41,7 +41,8 @@ fn config(topology: Topology, pes: usize, channels: usize) -> SystemConfig {
 
 fn run_sim(g: &CooGraph, algo: Algorithm, cfg: SystemConfig) -> Vec<u32> {
     System::new(g, Partitioner::new(512, 512), algo, cfg)
-        .run()
+        .run_to_outcome(None)
+        .unwrap()
         .values
 }
 
@@ -140,7 +141,7 @@ fn dense_interval_graph_exercises_local_reads() {
         algo,
         config(Topology::TwoLevel, 1, 1),
     );
-    let result = sys.run();
+    let result = sys.run_to_outcome(None).unwrap();
     assert_eq!(result.values, golden::run(&algo, &g));
     assert!(
         result.stats.get("local_reads") > result.stats.get("moms_reads"),

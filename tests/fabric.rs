@@ -39,7 +39,7 @@ fn all_algos() -> [Algorithm; 5] {
 }
 
 fn run_fabric(g: &CooGraph, algo: Algorithm, devices: usize) -> FabricRunResult {
-    Driver::new().devices(devices).run_fabric(g, algo)
+    Driver::new().devices(devices).run_fabric(g, algo).unwrap()
 }
 
 #[test]
@@ -48,8 +48,10 @@ fn one_device_fabric_is_cycle_identical_to_system() {
     for algo in all_algos() {
         let driver = Driver::new().execution(ExecutionMode::ForceSynchronous);
         let (cfg, partitioner) = driver.run_config(&g).build();
-        let single = System::new(&g, partitioner, algo, cfg).run();
-        let fabric = driver.clone().devices(1).run_fabric(&g, algo);
+        let single = System::new(&g, partitioner, algo, cfg)
+            .run_to_outcome(None)
+            .unwrap();
+        let fabric = driver.clone().devices(1).run_fabric(&g, algo).unwrap();
         let name = algo.name();
         assert_eq!(
             fabric.cycles, single.cycles,
@@ -161,11 +163,13 @@ fn ring_topology_matches_all_to_all_values() {
         let direct = Driver::new()
             .devices(4)
             .link_topology(LinkTopology::AllToAll)
-            .run_fabric(&g, algo);
+            .run_fabric(&g, algo)
+            .unwrap();
         let ring = Driver::new()
             .devices(4)
             .link_topology(LinkTopology::Ring)
-            .run_fabric(&g, algo);
+            .run_fabric(&g, algo)
+            .unwrap();
         assert_eq!(
             ring.values,
             direct.values,
@@ -200,12 +204,14 @@ fn narrow_links_cost_cycles_but_not_correctness() {
         .devices(4)
         .link_bandwidth(64)
         .link_latency(1)
-        .run_fabric(&g, algo);
+        .run_fabric(&g, algo)
+        .unwrap();
     let narrow = Driver::new()
         .devices(4)
         .link_bandwidth(1)
         .link_latency(256)
-        .run_fabric(&g, algo);
+        .run_fabric(&g, algo)
+        .unwrap();
     assert_eq!(narrow.values, wide.values, "bandwidth changed results");
     assert!(
         narrow.link.exchange_cycles > wide.link.exchange_cycles,
@@ -254,7 +260,7 @@ fn black_hole_link_fault_trips_fabric_watchdog() {
 }
 
 #[test]
-fn run_panics_with_diagnostic_on_link_stall() {
+fn link_stall_error_renders_diagnostic() {
     let g = test_graph();
     let mut rc = Driver::new().devices(8).max_iterations(100).run_config(&g);
     rc.link.fault = FaultConfig {
@@ -262,13 +268,11 @@ fn run_panics_with_diagnostic_on_link_stall() {
         seed: 1,
     };
     rc.link.watchdog_cycles = Some(10_000);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Fabric::new(&g, Algorithm::pagerank(), &rc).run()
-    }));
-    let payload = result.expect_err("black-hole links must not complete");
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("panic carries the rendered snapshot");
+    // The error's Display is the full diagnostic a caller prints.
+    let Err(err) = Fabric::new(&g, Algorithm::pagerank(), &rc).run_to_outcome(None) else {
+        panic!("black-hole links must not complete");
+    };
+    let msg = err.to_string();
     assert!(msg.contains("link exchange stalled"), "got: {msg}");
 }
 
@@ -280,7 +284,9 @@ fn link_trace_records_tx_and_rx_events() {
         level: simkit::trace::TraceLevel::Events,
         ..simkit::TraceConfig::default()
     };
-    let r = Fabric::new(&g, Algorithm::bfs(0), &rc).run();
+    let r = Fabric::new(&g, Algorithm::bfs(0), &rc)
+        .run_to_outcome(None)
+        .unwrap();
     assert!(!r.trace.events.is_empty(), "tracing on, no link events");
     let names: Vec<&str> = r.trace.events.iter().map(|e| e.kind.name()).collect();
     assert!(names.contains(&"link.tx"), "no tx events: {names:?}");

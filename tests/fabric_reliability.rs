@@ -69,7 +69,9 @@ fn run_with_fault(
     devices: usize,
     fault: FaultConfig,
 ) -> FabricRunResult {
-    Fabric::new(g, algo, &faulty_config(g, devices, fault)).run()
+    Fabric::new(g, algo, &faulty_config(g, devices, fault))
+        .run_to_outcome(None)
+        .unwrap()
 }
 
 #[test]
@@ -236,7 +238,7 @@ fn black_hole_recovery_is_bit_exact_for_integer_algorithms() {
         .with_random_weights(0, 255, 3);
     let algo = Algorithm::sssp(0);
     let mut rc = Driver::new().devices(8).run_config(&g);
-    let clean = Fabric::new(&g, algo, &rc).run();
+    let clean = Fabric::new(&g, algo, &rc).run_to_outcome(None).unwrap();
     assert!(!clean.recovery.recovered());
     rc.link.fault = FaultConfig {
         profile: FaultProfile::BlackHole,
@@ -285,7 +287,7 @@ fn black_hole_recovery_keeps_pagerank_within_one_ulp() {
     let g = GraphSpec::rmat(9, 6).build(41);
     let algo = Algorithm::pagerank();
     let mut rc = Driver::new().devices(8).max_iterations(12).run_config(&g);
-    let clean = Fabric::new(&g, algo, &rc).run();
+    let clean = Fabric::new(&g, algo, &rc).run_to_outcome(None).unwrap();
     rc.link.fault = FaultConfig {
         profile: FaultProfile::BlackHole,
         seed: 7,
@@ -356,7 +358,8 @@ fn driver_builders_wire_reliability_knobs_through() {
             .checkpoint_interval(3)
             .run_config(&g),
     )
-    .run();
+    .run_to_outcome(None)
+    .unwrap();
     assert_eq!(r.values, golden::run(&Algorithm::bfs(0), &g));
     assert!(!r.recovery.recovered());
     assert!(

@@ -37,7 +37,10 @@ fn run_values(g: &CooGraph, algo: Algorithm, arch: ArchPoint) -> Vec<u32> {
     let mut spec = RunSpec::new(arch);
     spec.shrink = 32;
     let (cfg, partitioner) = spec.run_config().build();
-    System::new(g, partitioner, algo, cfg).run().values
+    System::new(g, partitioner, algo, cfg)
+        .run_to_outcome(None)
+        .unwrap()
+        .values
 }
 
 /// Maximum tolerated ulp distance per node between the accelerator's

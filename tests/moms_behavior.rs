@@ -237,7 +237,9 @@ fn convergence_tracking_skips_inactive_work() {
         watchdog_cycles: Some(accel::DEFAULT_WATCHDOG_CYCLES),
         idle_skip: true,
     };
-    let r = System::new(&g, Partitioner::new(128, 128), Algorithm::bfs(0), cfg).run();
+    let r = System::new(&g, Partitioner::new(128, 128), Algorithm::bfs(0), cfg)
+        .run_to_outcome(None)
+        .unwrap();
     assert!(
         r.iterations >= 4,
         "chain should take several frontier steps"

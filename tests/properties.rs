@@ -237,7 +237,8 @@ fn simulator_matches_golden_bfs_on_random_graphs() {
         let g = random_graph(&mut rng, 400, 1500);
         let algo = Algorithm::bfs(0);
         let got = System::new(&g, Partitioner::new(256, 256), algo, small_config())
-            .run()
+            .run_to_outcome(None)
+            .unwrap()
             .values;
         assert_eq!(got, golden::run(&algo, &g), "case {case}");
     }
@@ -250,7 +251,8 @@ fn simulator_matches_golden_scc_on_random_graphs() {
         let g = random_graph(&mut rng, 300, 1200);
         let algo = Algorithm::Scc;
         let got = System::new(&g, Partitioner::new(128, 128), algo, small_config())
-            .run()
+            .run_to_outcome(None)
+            .unwrap()
             .values;
         assert_eq!(got, golden::run(&algo, &g), "case {case}");
     }

@@ -46,11 +46,15 @@ fn fault_profiles_preserve_results() {
         Algorithm::pagerank(),
     ];
     for algo in algos {
-        let baseline = system_with_fault(&g, algo, FaultConfig::none()).run();
+        let baseline = system_with_fault(&g, algo, FaultConfig::none())
+            .run_to_outcome(None)
+            .unwrap();
         for profile in FaultProfile::GRACEFUL {
             for seed in [1u64, 99] {
                 let fault = FaultConfig { profile, seed };
-                let r = system_with_fault(&g, algo, fault).run();
+                let r = system_with_fault(&g, algo, fault)
+                    .run_to_outcome(None)
+                    .unwrap();
                 if algo == Algorithm::pagerank() {
                     // PageRank gathers are f32 adds performed in response
                     // arrival order, so reordered completions can shift
@@ -154,7 +158,7 @@ fn stall_snapshot_embeds_trace_tail_naming_dropped_request() {
 }
 
 #[test]
-fn run_panics_with_diagnostic_on_stall() {
+fn stall_error_renders_diagnostic() {
     let g = test_graph();
     let mut cfg = SystemConfig::small();
     cfg.moms.private = cfg.moms.private.without_cache();
@@ -164,13 +168,13 @@ fn run_panics_with_diagnostic_on_stall() {
         seed: 1,
     };
     cfg.watchdog_cycles = Some(10_000);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        System::new(&g, Partitioner::new(64, 64), Algorithm::sssp(0), cfg).run()
-    }));
-    let payload = result.expect_err("black-hole run must not complete");
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("panic carries the rendered snapshot");
+    // The error's Display is the full diagnostic a caller prints.
+    let Err(err) =
+        System::new(&g, Partitioner::new(64, 64), Algorithm::sssp(0), cfg).run_to_outcome(None)
+    else {
+        panic!("black-hole run must not complete");
+    };
+    let msg = err.to_string();
     assert!(msg.contains("no forward progress for"), "got: {msg}");
 }
 
@@ -297,8 +301,12 @@ fn fault_injection_is_deterministic() {
         profile: FaultProfile::Chaos,
         seed: 1234,
     };
-    let a = system_with_fault(&g, Algorithm::Scc, fault).run();
-    let b = system_with_fault(&g, Algorithm::Scc, fault).run();
+    let a = system_with_fault(&g, Algorithm::Scc, fault)
+        .run_to_outcome(None)
+        .unwrap();
+    let b = system_with_fault(&g, Algorithm::Scc, fault)
+        .run_to_outcome(None)
+        .unwrap();
     assert_eq!(
         a.cycles, b.cycles,
         "same seed must replay the same schedule"

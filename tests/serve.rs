@@ -16,8 +16,9 @@
 //!   bounds priority inversion — the high class's tail latency stays
 //!   below the low class's under mixed overload.
 
-use bench::experiments::serve::{sweep_with_jobs, ServeSweepOptions};
-use bench::experiments::Scope;
+use bench::experiments::serve::ServeSweepOptions;
+use bench::experiments::{self, Scope};
+use bench::EngineConfig;
 use serve::{run, JobKey, Priority, Request, Scheduler, ServeConfig};
 use simkit::record::to_json;
 use simkit::Cycle;
@@ -59,13 +60,20 @@ fn sweep_export_is_independent_of_worker_count() {
         rates_permille: vec![500, 1000, 4000],
         ..ServeSweepOptions::default()
     };
-    let (serial, _) = sweep_with_jobs(tiny_scope(), &opts, 1).expect("jobs=1 sweep");
-    let (parallel, _) = sweep_with_jobs(tiny_scope(), &opts, 4).expect("jobs=4 sweep");
+    let sweep = |jobs| {
+        let eng = EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        };
+        experiments::serve::run(tiny_scope(), &opts, &eng).expect("sweep")
+    };
+    let (serial, parallel) = (sweep(1), sweep(4));
     assert_eq!(
-        to_json(&serial),
-        to_json(&parallel),
+        to_json(&serial.rows),
+        to_json(&parallel.rows),
         "indexed result slots must make --jobs invisible in the export"
     );
+    assert_eq!(serial.text, parallel.text);
 }
 
 #[test]

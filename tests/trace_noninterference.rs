@@ -42,7 +42,9 @@ fn run_traced(
     let mut cfg = SystemConfig::small();
     cfg.fault = fault;
     cfg.trace = trace;
-    System::new(g, Partitioner::new(256, 256), algo, cfg).run()
+    System::new(g, Partitioner::new(256, 256), algo, cfg)
+        .run_to_outcome(None)
+        .unwrap()
 }
 
 fn level(level: TraceLevel) -> TraceConfig {
