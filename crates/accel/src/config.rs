@@ -117,10 +117,11 @@ pub struct SystemConfig {
     /// Observability layer: event/counter tracing (default: off, every
     /// hook is a dead branch).
     pub trace: TraceConfig,
-    /// Fast-forward over cycles in which no component can make progress
-    /// (host-side optimisation only — simulated cycles, statistics, and
-    /// traces are bit-identical either way; `tests/determinism.rs` holds
-    /// that line). Disable to force one host loop iteration per cycle.
+    /// Tick only the PEs and MOMS parts that have work, and jump the clock
+    /// over cycles in which nothing does (host-side optimisation only —
+    /// simulated cycles, statistics, metrics and traces are bit-identical
+    /// either way; `tests/determinism.rs` holds that line). Disable for the
+    /// reference path: every PE and MOMS part ticked every cycle.
     pub idle_skip: bool,
 }
 

@@ -276,6 +276,9 @@ pub struct Pe {
     counters: PeCounters,
     breakdown: PeCycleBreakdown,
     tracer: Tracer,
+    /// Attribution cursor: the last cycle this PE's state and statistics
+    /// account for, by a tick or by [`catch_up`](Pe::catch_up).
+    synced: Cycle,
 }
 
 /// Hot-path event counters kept as plain fields: these are bumped every
@@ -336,6 +339,7 @@ impl Pe {
             counters: PeCounters::default(),
             breakdown: PeCycleBreakdown::default(),
             tracer: Tracer::disabled(),
+            synced: 0,
             cfg,
         }
     }
@@ -370,9 +374,8 @@ impl Pe {
         self.wb_cursor = 0;
         self.updated = false;
         self.edges_done = 0;
-        for c in self.inflight_dst.iter_mut() {
-            *c = 0;
-        }
+        // `inflight_dst` needs no reset: Stream hands over to Apply only
+        // once the gather pipe is empty, which leaves every entry zero.
         self.job = Some(job);
         self.stats.inc("jobs");
     }
@@ -385,6 +388,12 @@ impl Pe {
     /// Next DMA burst to place on the memory system, if any.
     pub fn pop_dram_request(&mut self) -> Option<PeDramReq> {
         self.dram_out.pop_front()
+    }
+
+    /// `true` when DMA bursts await [`pop_dram_request`](Self::pop_dram_request)
+    /// (only a tick adds them).
+    pub fn has_dram_requests(&self) -> bool {
+        !self.dram_out.is_empty()
     }
 
     /// Counters: `edges_processed`, `raw_stalls`, `moms_backpressure`,
@@ -471,26 +480,37 @@ impl Pe {
         )
     }
 
-    /// Earliest future cycle at which this PE can make progress *on its
-    /// own* — without a MOMS response, DRAM burst completion, or new job
-    /// arriving. `None` means the PE is inert: ticking it any number of
-    /// times changes nothing observable (no state, no stats, no trace
-    /// events) until some external completion lands. `Some(now + 1)` is
-    /// the conservative "cannot prove inert" answer.
+    /// The next cycle at which this PE must be ticked to act *on its
+    /// own*, with no MOMS response, DRAM burst completion or new job
+    /// arriving; the ticks before it only repeat the cycle's attribution
+    /// or do self-timed work, which [`catch_up`](Self::catch_up) books
+    /// exactly. `None` means only an input can change the PE.
+    ///
+    /// Two phases are self-timed: the Init BRAM fill (always) and Apply
+    /// on a synchronous image. For those this names the tick that ends
+    /// the phase. Apply on an asynchronous image writes `V_in`, which
+    /// other PEs read through their MOMS responses, so it names the next
+    /// cycle. Queued DMA bursts are not the PE's to move: the system
+    /// drains [`pop_dram_request`](Self::pop_dram_request) after each
+    /// tick.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.dram_out.is_empty() {
-            // The system moves these into channel queues every cycle.
-            return Some(now + 1);
-        }
+        let job = self.job.as_ref();
         match self.phase {
             // An idle PE only acts when the scheduler hands it a job; the
             // system accounts for pullable jobs separately.
             Phase::Idle => None,
             Phase::Init => {
-                if self.ordered_burst_outstanding && self.init_done_cursor == self.init_avail {
-                    None // waiting purely on the vin/vconst burst
+                let d_len = job.map_or(0, |j| j.d_len);
+                let issues = !self.ordered_burst_outstanding
+                    && (self.init_vin_pending.is_some() || self.init_req_cursor < d_len);
+                if issues {
+                    Some(now + 1)
+                } else if self.init_avail == d_len {
+                    // The fill of the last chunk ends the phase.
+                    let left = (d_len - self.init_done_cursor).div_ceil(self.cfg.init_rate);
+                    Some(now + u64::from(left.max(1)))
                 } else {
-                    Some(now + 1) // would issue a burst or fill BRAM
+                    None // the fill stalls at `init_avail` until a burst lands
                 }
             }
             Phase::FetchPtrs => {
@@ -519,7 +539,13 @@ impl Pe {
                 // front's maturity; otherwise we wait on MOMS/DRAM.
                 self.pipe.front().map(|&(ready, _)| ready.max(now + 1))
             }
-            Phase::Apply => Some(now + 1), // makes progress every cycle
+            Phase::Apply => match job {
+                Some(j) if j.vout_base != j.vin_base => {
+                    let left = (j.d_len - self.apply_cursor).div_ceil(self.cfg.writeback_rate);
+                    Some(now + u64::from(left.max(1)))
+                }
+                _ => Some(now + 1),
+            },
             Phase::Writeback => {
                 if self.ordered_burst_outstanding {
                     None // waiting purely on the write acknowledgement
@@ -530,27 +556,44 @@ impl Pe {
         }
     }
 
-    /// Books `gap` skipped cycles into the statistics and attribution
-    /// classes the next `gap` ticks would have charged. Only valid while
-    /// the PE is inert (see [`next_event`](Self::next_event)): the charged
-    /// class is a pure function of the frozen state, exactly as in
-    /// [`tick`](Self::tick).
-    pub fn credit_inert_cycles(&mut self, gap: u64) {
-        if gap == 0 {
+    /// Brings the PE up to date through cycle `through`: books every cycle
+    /// since its last tick exactly as ticks would have, including the
+    /// Init fill and synchronous Apply work those ticks would have done.
+    /// Only valid over cycles before [`next_event`](Self::next_event)'s
+    /// answer and before any input arrived; the system calls it before
+    /// it hands the PE an input, and [`tick`](Self::tick) calls it first.
+    pub fn catch_up(&mut self, through: Cycle, img: &mut MemImage) {
+        if through <= self.synced {
             return;
         }
+        let gap = through - self.synced;
+        self.synced = through;
         if !matches!(self.phase, Phase::Idle) {
             self.counters.busy_cycles += gap;
         }
         match self.phase {
             Phase::Idle => self.breakdown.idle += gap,
-            Phase::Init => self.breakdown.init += gap,
+            Phase::Init => {
+                self.breakdown.init += gap;
+                self.fill_bram(gap, img);
+                debug_assert!(
+                    self.init_done_cursor < self.job.as_ref().map_or(0, |j| j.d_len),
+                    "catch-up crossed the end of Init"
+                );
+            }
             Phase::FetchPtrs => self.breakdown.fetch_ptrs += gap,
-            Phase::Apply => self.breakdown.apply += gap,
+            Phase::Apply => {
+                self.breakdown.apply += gap;
+                self.apply_nodes(gap, img);
+                debug_assert!(
+                    self.apply_cursor < self.job.as_ref().map_or(0, |j| j.d_len),
+                    "catch-up crossed the end of Apply"
+                );
+            }
             Phase::Writeback => self.breakdown.writeback += gap,
             Phase::Stream => {
                 // Mirrors the no-progress arm of `tick_stream`'s
-                // attribution: an inert stream cycle has empty queues, so
+                // attribution: a skipped stream cycle has empty queues, so
                 // the raw/backpressure/starved observations cannot fire.
                 if self.inflight_moms > 0 {
                     self.breakdown.stream_moms_wait += gap;
@@ -563,14 +606,23 @@ impl Pe {
         }
     }
 
-    /// Books `gap` cycles spent parked at a fabric iteration barrier
-    /// (waiting on slower devices or the link exchange). Unlike
-    /// [`credit_inert_cycles`](Self::credit_inert_cycles) this is not an
+    /// Books every cycle after the PE's last one through `to` as parked at
+    /// a fabric iteration barrier (waiting on slower devices or the link
+    /// exchange). Unlike [`catch_up`](Self::catch_up) this is not an
     /// attribution of the PE's own state — the device clock is being
     /// advanced from outside — so the whole gap lands in the dedicated
     /// `link_wait` class.
-    pub fn credit_link_wait(&mut self, gap: u64) {
-        self.breakdown.link_wait += gap;
+    pub fn park_until(&mut self, to: Cycle) {
+        if to > self.synced {
+            self.breakdown.link_wait += to - self.synced;
+            self.synced = to;
+        }
+    }
+
+    /// Moves the attribution cursor to `to` without booking the gap — for
+    /// a freshly built device whose clock joins a running fabric.
+    pub fn align_to(&mut self, to: Cycle) {
+        self.synced = self.synced.max(to);
     }
 
     fn alloc_tag(&mut self, kind: Burst) -> u64 {
@@ -817,9 +869,12 @@ impl Pe {
         }
     }
 
-    /// Advances one cycle; exchanges irregular reads with the MOMS and
-    /// reads/writes the functional image.
+    /// Advances to cycle `now`, first [catching up](Self::catch_up) the
+    /// cycles since the last tick; exchanges irregular reads with the MOMS
+    /// and reads/writes the functional image.
     pub fn tick(&mut self, now: Cycle, img: &mut MemImage, moms: &mut MomsSystem, pe_idx: usize) {
+        self.catch_up(now.saturating_sub(1), img);
+        self.synced = now;
         if !matches!(self.phase, Phase::Idle) {
             self.counters.busy_cycles += 1;
         }
@@ -844,22 +899,33 @@ impl Pe {
     }
 
     fn tick_init(&mut self, img: &MemImage) {
-        let Some(job) = self.job.clone() else { return };
-        let mut budget = self.cfg.init_rate;
-        while budget > 0 && self.init_done_cursor < self.init_avail {
-            let i = self.init_done_cursor;
+        self.fill_bram(1, img);
+        if self
+            .job
+            .as_ref()
+            .is_some_and(|j| self.init_done_cursor == j.d_len)
+        {
+            self.phase = Phase::FetchPtrs;
+        }
+    }
+
+    /// `cycles` cycles of the Init BRAM fill: `init_rate` nodes a cycle,
+    /// stopping at the last node whose data has arrived. It reads only the
+    /// job's own interval of `V_in` and `V_const`, which nothing writes
+    /// during an iteration, so when the fill runs does not matter.
+    fn fill_bram(&mut self, cycles: u64, img: &MemImage) {
+        let Some(job) = self.job.as_ref() else { return };
+        let budget = cycles.saturating_mul(u64::from(self.cfg.init_rate));
+        let n = u64::from(self.init_avail - self.init_done_cursor).min(budget) as u32;
+        for i in self.init_done_cursor..self.init_done_cursor + n {
             let node = job.d_base + i;
             let vin = img.read_u32(job.vin_base + node as u64 * 4);
             let vc = job
                 .vconst_base
                 .map_or(0, |b| img.read_u32(b + node as u64 * 4));
             self.bram[i as usize] = job.algo.init(vc, vin);
-            self.init_done_cursor += 1;
-            budget -= 1;
         }
-        if self.init_done_cursor == job.d_len {
-            self.phase = Phase::FetchPtrs;
-        }
+        self.init_done_cursor += n;
     }
 
     fn tick_stream(
@@ -1038,6 +1104,10 @@ impl Pe {
             && self.inflight_moms == 0
             && self.pipe.is_empty();
         if streaming_done {
+            debug_assert!(
+                self.inflight_dst.iter().all(|&c| c == 0),
+                "gather hazard slots still held after the pipe drained"
+            );
             self.phase = Phase::Apply;
         }
     }
@@ -1058,19 +1128,30 @@ impl Pe {
     }
 
     fn tick_apply(&mut self, img: &mut MemImage) {
-        let Some(job) = self.job.clone() else { return };
-        let mut budget = self.cfg.writeback_rate;
-        while budget > 0 && self.apply_cursor < job.d_len {
-            let i = self.apply_cursor;
-            let v = job.algo.apply(job.num_nodes, self.bram[i as usize]);
-            img.write_u32(job.vout_base + (job.d_base + i) as u64 * 4, v);
-            self.apply_cursor += 1;
-            budget -= 1;
-        }
-        if self.apply_cursor == job.d_len {
+        self.apply_nodes(1, img);
+        if self
+            .job
+            .as_ref()
+            .is_some_and(|j| self.apply_cursor == j.d_len)
+        {
             self.phase = Phase::Writeback;
             self.wb_cursor = 0;
         }
+    }
+
+    /// `cycles` cycles of `apply()`: `writeback_rate` nodes a cycle into
+    /// `V_out`. On a synchronous image no PE reads `V_out` during the
+    /// iteration, so the writes may run late; on an asynchronous one they
+    /// must run on their own cycle (see [`next_event`](Self::next_event)).
+    fn apply_nodes(&mut self, cycles: u64, img: &mut MemImage) {
+        let Some(job) = self.job.as_ref() else { return };
+        let budget = cycles.saturating_mul(u64::from(self.cfg.writeback_rate));
+        let n = u64::from(job.d_len - self.apply_cursor).min(budget) as u32;
+        for i in self.apply_cursor..self.apply_cursor + n {
+            let v = job.algo.apply(job.num_nodes, self.bram[i as usize]);
+            img.write_u32(job.vout_base + (job.d_base + i) as u64 * 4, v);
+        }
+        self.apply_cursor += n;
     }
 }
 
@@ -1087,6 +1168,7 @@ fn span_lines(base: u64, first: u32, len: u32) -> (u64, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::SplitMix64;
 
     #[test]
     fn span_lines_aligned() {
@@ -1144,5 +1226,112 @@ mod tests {
         let a = pe.alloc_tag(Burst::Ptrs);
         let b = pe.alloc_tag(Burst::Write);
         assert_ne!(a, b);
+    }
+
+    /// A PageRank job whose one edge pointer is empty, so the PE runs Init
+    /// (several vin/vconst chunks), the pointer fetch, synchronous Apply
+    /// into a separate `V_out`, and write-back.
+    fn apply_only_job(d_len: u32) -> (Job, MemImage) {
+        let bytes = u64::from(d_len) * 4;
+        let (vin, vconst, vout) = (
+            0,
+            bytes.next_multiple_of(64),
+            2 * bytes.next_multiple_of(64),
+        );
+        let ptr = 3 * bytes.next_multiple_of(64);
+        let mut img = MemImage::new((ptr + 64) as usize);
+        let mut rng = SplitMix64::new(7);
+        for i in 0..u64::from(d_len) {
+            img.write_u32(vin + 4 * i, (1.0 + rng.next_below(100) as f32).to_bits());
+            img.write_u32(vconst + 4 * i, 1 + rng.next_below(9) as u32);
+        }
+        let job = Job {
+            d: 0,
+            d_base: 0,
+            d_len,
+            vin_base: vin,
+            vconst_base: Some(vconst),
+            vout_base: vout,
+            ptr_base: ptr,
+            qs: 1,
+            ns: d_len,
+            weighted: false,
+            use_local_src: false,
+            algo: Algorithm::pagerank(),
+            num_nodes: d_len,
+        };
+        (job, img)
+    }
+
+    /// Runs one job to completion. Every DMA burst completes a seeded
+    /// random 20..220 cycles after issue. With `event_driven` off the PE
+    /// is ticked every cycle; with it on, only when `next_event` names the
+    /// cycle, a burst completes, or at random earlier cycles (a PE may
+    /// always be ticked), so the skipped gaps vary in length. Returns the
+    /// PE, the image, the completion cycle and the ticks taken.
+    fn run_job(event_driven: bool) -> (Pe, MemImage, Cycle, u64) {
+        let (job, mut img) = apply_only_job(1500);
+        let mut moms = MomsSystem::new(crate::SystemConfig::small().moms);
+        let mut pe = Pe::new(PeConfig {
+            bram_nodes: 2048,
+            ..PeConfig::default()
+        });
+        let mut latency = SplitMix64::new(11);
+        let mut early = SplitMix64::new(5);
+        let mut in_flight: Vec<(Cycle, u64)> = Vec::new();
+        pe.start_job(job);
+        let (mut now, mut wake, mut ticks) = (0, 1, 0);
+        loop {
+            let mut tick = true;
+            now = if event_driven {
+                let due = in_flight.iter().map(|&(c, _)| c).fold(wake, Cycle::min);
+                let soon = now + 1 + early.next_below(16);
+                tick = soon < due && early.next_below(3) == 0 || due == wake;
+                if soon < due && tick {
+                    soon
+                } else {
+                    due
+                }
+            } else {
+                now + 1
+            };
+            if tick {
+                pe.tick(now, &mut img, &mut moms, 0);
+                ticks += 1;
+                wake = pe.next_event(now).unwrap_or(Cycle::MAX);
+                while let Some(req) = pe.pop_dram_request() {
+                    in_flight.push((now + 20 + latency.next_below(200), req.tag));
+                }
+            }
+            while let Some(i) = in_flight.iter().position(|&(c, _)| c == now) {
+                let (_, tag) = in_flight.remove(i);
+                pe.catch_up(now, &mut img);
+                pe.burst_complete(tag, &img);
+                wake = now + 1;
+            }
+            if pe.take_result().is_some() {
+                return (pe, img, now, ticks);
+            }
+            assert!(now < 1_000_000, "job never finished");
+        }
+    }
+
+    #[test]
+    fn catch_up_matches_ticking_every_cycle() {
+        let (every, every_img, every_end, every_ticks) = run_job(false);
+        let (caught, caught_img, caught_end, caught_ticks) = run_job(true);
+        assert_eq!(caught_end, every_end, "completion cycle");
+        assert_eq!(caught.bram, every.bram, "BRAM contents");
+        assert_eq!(caught_img, every_img, "image bytes (V_out)");
+        assert_eq!(caught.cycle_breakdown(), every.cycle_breakdown());
+        assert_eq!(caught.stats(), every.stats());
+        let b = every.cycle_breakdown();
+        assert_eq!(b.total(), every_end, "one class per cycle");
+        assert!(b.init > 0 && b.apply > 0 && b.writeback > 0, "{b:?}");
+        assert_eq!(every_ticks, every_end);
+        assert!(
+            caught_ticks * 4 < every_ticks,
+            "catch-up skipped too little: {caught_ticks} of {every_ticks} ticks"
+        );
     }
 }

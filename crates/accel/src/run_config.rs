@@ -75,8 +75,9 @@ pub struct RunConfig {
     pub watchdog_cycles: Option<Cycle>,
     /// Event/counter tracing configuration (default: off).
     pub trace: TraceConfig,
-    /// Fast-forward provably idle stretches of the simulation (host-side
-    /// speed only; results are bit-identical either way).
+    /// Tick only the components with work and jump over idle stretches
+    /// (host-side speed only; results are bit-identical either way). See
+    /// [`SystemConfig::idle_skip`].
     pub idle_skip: bool,
     /// Number of fabric devices; `1` means the plain single-`System` path.
     /// Consumed by [`Fabric::new`](crate::fabric::Fabric::new), ignored by

@@ -11,7 +11,7 @@ use simkit::trace::{
     merge_events, CounterSeries, EventKind, TraceEvent, TraceReport, Tracer, Track,
 };
 use simkit::watchdog::{DiagnosticSection, DiagnosticSnapshot};
-use simkit::{Cycle, FaultInjector, Stats, Watchdog};
+use simkit::{for_each_member, BitSet, Cycle, FaultInjector, Stats, Watchdog};
 
 use algos::Algorithm;
 use dram::{DramChannelSnapshot, DramRequest, DramResponse, MemImage, MemorySystem};
@@ -25,6 +25,9 @@ use crate::pe::{Job, Pe, PeCycleBreakdown};
 
 /// Events shown in the watchdog snapshot's `trace-tail` section.
 const TRACE_TAIL_EVENTS: usize = 32;
+
+/// Wake cycle of a PE that has no event of its own and waits for an input.
+const NEVER: Cycle = Cycle::MAX;
 
 /// Periodic occupancy sampling into time-bucketed series (active at any
 /// trace level above `Off`). Sampling only *reads* component state via
@@ -180,9 +183,12 @@ impl MetricsSnapshot {
 pub struct RunResult {
     /// Total simulated clock cycles.
     pub cycles: Cycle,
-    /// Host loop iterations actually executed. Equal to `cycles` minus
-    /// the cycles fast-forwarded by idle skipping; the gap between the
-    /// two is pure host-side work saved with zero simulated effect.
+    /// Host loop iterations actually executed: the cycles in which some
+    /// PE, MOMS part or DMA queue had work, or every cycle with
+    /// [`idle_skip`](crate::SystemConfig::idle_skip) off. The clock jumps
+    /// over the rest. Inside an executed cycle only the PEs and MOMS parts
+    /// with work are ticked, so host time falls further than this count.
+    /// Host-side only: every simulated result is identical either way.
     pub host_ticks: u64,
     /// Iterations executed.
     pub iterations: u32,
@@ -255,7 +261,14 @@ fn decode_pe_id(id: u64) -> (usize, u64) {
 
 /// The full accelerator, ready to [`run`](Self::run_to_outcome) one
 /// algorithm on one graph.
+///
+/// Aligned to 128 bytes (two cache lines, the adjacent-line prefetch
+/// unit): a fabric keeps its devices side by side in one `Vec` and steps
+/// them on different host threads, and each device writes its clock and
+/// wake bookkeeping every cycle, so no cache line may hold fields of two
+/// devices.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct System {
     cfg: SystemConfig,
     algo: Algorithm,
@@ -287,6 +300,18 @@ pub struct System {
     tracer: Tracer,
     /// Occupancy sampler (`None` when tracing is off).
     sampler: Option<OccupancySampler>,
+    /// Per-PE cycle of the next tick the PE needs on its own
+    /// ([`Pe::next_event`]); inputs pull it earlier. Every PE is due every
+    /// cycle with `idle_skip` off.
+    wake: Vec<Cycle>,
+    /// The earliest entry of `wake` (a lower bound between scans), so a
+    /// cycle in which no PE is due skips the scan.
+    next_wake: Cycle,
+    /// PEs with DMA bursts awaiting channel space; every PE with
+    /// `idle_skip` off.
+    seg_busy: BitSet,
+    /// PEs without a job.
+    idle_pes: usize,
     /// Simulation loop iterations executed (cycles minus skipped gaps).
     host_ticks: u64,
     now: Cycle,
@@ -355,6 +380,9 @@ impl System {
         };
         let mut mem = MemorySystem::new(cfg.dram.clone(), cfg.num_channels());
         let mut moms = MomsSystem::new(cfg.moms.clone());
+        if !cfg.idle_skip {
+            moms.visit_every_part();
+        }
         if cfg.moms_trace_cap > 0 {
             moms.enable_trace(cfg.moms_trace_cap);
         }
@@ -372,6 +400,12 @@ impl System {
         }
         let tracer = Tracer::for_track(Track::scheduler(), &cfg.trace);
         let sched = Scheduler::new(gi.qs());
+        let n = cfg.num_pes();
+        let (wake, seg_busy) = if cfg.idle_skip {
+            (vec![NEVER; n], BitSet::new(n))
+        } else {
+            (vec![0; n], BitSet::full(n))
+        };
         System {
             seg_q: vec![VecDeque::new(); cfg.num_pes()],
             last_jobs: Vec::new(),
@@ -388,6 +422,10 @@ impl System {
             sched,
             tracer,
             sampler,
+            next_wake: wake.iter().copied().min().unwrap_or(NEVER),
+            wake,
+            seg_busy,
+            idle_pes: n,
             host_ticks: 0,
             now: 0,
             cfg,
@@ -590,10 +628,10 @@ impl System {
         if to <= self.now {
             return;
         }
-        let gap = to - self.now;
+        self.sync_pes();
         self.now = to;
         for pe in &mut self.pes {
-            pe.credit_link_wait(gap);
+            pe.park_until(to);
         }
     }
 
@@ -601,13 +639,27 @@ impl System {
     /// any stall class — for freshly built replacement devices joining a
     /// fabric mid-run after a rollback, whose PEs did not actually wait.
     pub fn align_clock(&mut self, to: Cycle) {
+        self.sync_pes();
         self.now = self.now.max(to);
+        for pe in &mut self.pes {
+            pe.align_to(self.now);
+        }
+    }
+
+    /// Catches every PE up through the current cycle. The loop ticks a PE
+    /// only when it has work; this books the cycles it skipped, and runs
+    /// before anything outside the PEs reads or moves them.
+    fn sync_pes(&mut self) {
+        for pe in &mut self.pes {
+            pe.catch_up(self.now, &mut self.img);
+        }
     }
 
     /// Gathers final values, merged statistics, and metrics into the
     /// [`RunResult`] for a run that executed `iterations` iterations and
     /// processed `edges_total` edges.
     pub fn finish(&mut self, iterations: u32, edges_total: u64) -> RunResult {
+        self.sync_pes();
         let mut values = self.gi.read_out_values(&self.img);
         for (v, value) in (0..).zip(values.iter_mut()) {
             let vconst = if self.gi.has_const() {
@@ -696,17 +748,22 @@ impl System {
     /// Runs one iteration to completion; returns edges processed, or an
     /// error if the wall-clock deadline expired or the watchdog tripped
     /// mid-iteration.
+    ///
+    /// Each executed cycle ticks only the PEs that are due (their wake
+    /// cycle came, or an input arrived) and the MOMS parts with work.
+    /// When nothing is due before some later cycle, the clock jumps there
+    /// (see [`quiet_until`](Self::quiet_until)). A PE's skipped cycles are
+    /// booked by [`Pe::catch_up`] before anything touches it. With
+    /// `idle_skip` off every PE and MOMS part is ticked every cycle: the
+    /// reference path the tests compare against.
     fn run_iteration(&mut self, deadline: Option<Instant>) -> Result<u64, RunError> {
         /// Cycles between wall-clock polls (the simulator runs on the
         /// order of a million cycles per host second, so this checks a
         /// few dozen times per second without measurable overhead).
         const DEADLINE_POLL_MASK: u64 = (1 << 15) - 1;
-        /// Cycles between watchdog checks: cheap relative to the
-        /// threshold, frequent enough that detection latency is bounded
-        /// by `threshold + 1024`.
-        const WATCHDOG_POLL_MASK: u64 = (1 << 10) - 1;
         let mut edges = 0u64;
         let safety_limit = self.now + 2_000_000_000;
+        let every_cycle = !self.cfg.idle_skip;
         if let Some(w) = &mut self.watchdog {
             // The inter-iteration host work (pointer maintenance, value
             // carry) is not simulated progress; restart the quiet-period
@@ -718,11 +775,10 @@ impl System {
             self.host_ticks += 1;
             let now = self.now;
             let mut progressed = false;
-            // Polls key off executed host ticks, not simulated cycles:
-            // idle skipping can jump the cycle counter over any fixed
-            // cycle mask, but every poll interval of *work* still gets a
-            // wall-clock and watchdog check. With skipping off the two
-            // counters advance in lockstep, so the cadence is unchanged.
+            // The poll keys off executed host ticks, not simulated cycles:
+            // skipping can jump the cycle counter over any fixed cycle
+            // mask, but every poll interval of *work* still gets a
+            // wall-clock check.
             if let Some(d) = deadline {
                 if self.host_ticks & DEADLINE_POLL_MASK == 0 && Instant::now() >= d {
                     return Err(RunError::TimedOut);
@@ -730,41 +786,65 @@ impl System {
             }
 
             // 1. Idle PEs pull jobs.
-            for i in 0..self.pes.len() {
-                if self.pes[i].is_idle() {
-                    if let Some(d) = self.sched.pull() {
-                        let job = self.make_job(d);
-                        self.pes[i].start_job(job);
-                        self.tracer.event(
-                            now,
-                            EventKind::SchedDispatch,
-                            (i as u64) << 32 | d as u64,
-                        );
-                        self.pes[i].trace_event(now, EventKind::PeJobStart, d as u64);
+            if self.idle_pes > 0 && !self.sched.queue.is_empty() {
+                for i in 0..self.pes.len() {
+                    if !self.pes[i].is_idle() {
+                        continue;
                     }
+                    let Some(d) = self.sched.pull() else { break };
+                    let job = self.make_job(d);
+                    let pe = &mut self.pes[i];
+                    pe.catch_up(now - 1, &mut self.img);
+                    pe.start_job(job);
+                    pe.trace_event(now, EventKind::PeJobStart, d as u64);
+                    self.idle_pes -= 1;
+                    self.wake[i] = now;
+                    self.next_wake = now;
+                    self.tracer
+                        .event(now, EventKind::SchedDispatch, (i as u64) << 32 | d as u64);
                 }
             }
 
-            // 2. Tick PEs (they talk to the MOMS and the image).
-            for i in 0..self.pes.len() {
-                self.pes[i].tick(now, &mut self.img, &mut self.moms, i);
-                // Collect results.
-                if let Some(r) = self.pes[i].take_result() {
-                    edges += r.edges;
-                    progressed = true;
-                    self.sched.complete(
-                        r.d,
-                        r.updated,
-                        self.gi.nd(),
-                        self.gi.ns(),
-                        self.graph_nodes,
-                    );
+            // 2. Tick the PEs that are due (they talk to the MOMS and the
+            //    image).
+            if self.next_wake <= now {
+                let mut next_wake = NEVER;
+                for i in 0..self.pes.len() {
+                    if self.wake[i] > now {
+                        next_wake = next_wake.min(self.wake[i]);
+                        continue;
+                    }
+                    let pe = &mut self.pes[i];
+                    pe.tick(now, &mut self.img, &mut self.moms, i);
+                    if pe.has_dram_requests() {
+                        self.seg_busy.insert(i);
+                    }
+                    self.wake[i] = if every_cycle {
+                        now + 1
+                    } else {
+                        pe.next_event(now).unwrap_or(NEVER)
+                    };
+                    next_wake = next_wake.min(self.wake[i]);
+                    // Collect results.
+                    if let Some(r) = pe.take_result() {
+                        edges += r.edges;
+                        progressed = true;
+                        self.idle_pes += 1;
+                        self.sched.complete(
+                            r.d,
+                            r.updated,
+                            self.gi.nd(),
+                            self.gi.ns(),
+                            self.graph_nodes,
+                        );
+                    }
                 }
+                self.next_wake = next_wake;
             }
 
             // 3. Move PE bursts into per-channel queues (split at the
             //    interleave boundary) and issue what fits.
-            for i in 0..self.pes.len() {
+            for_each_member!(self.seg_busy, i => {
                 while let Some(req) = self.pes[i].pop_dram_request() {
                     let q = &mut self.seg_q[i];
                     let queued = q.len();
@@ -790,11 +870,21 @@ impl System {
                         break;
                     }
                 }
-            }
+                if !every_cycle && self.seg_q[i].is_empty() {
+                    self.seg_busy.remove(i);
+                }
+            });
 
-            // 4. Tick MOMS (it pushes its own line fetches) and DRAM.
+            // 4. Tick MOMS (it pushes its own line fetches) and DRAM. A
+            //    response waiting in a PE's port needs that PE next cycle.
             self.moms.tick(now, &mut self.mem);
             self.mem.tick(now);
+            if !every_cycle {
+                for_each_member!(self.moms.responding_pes(), pe => {
+                    self.wake[pe] = self.wake[pe].min(now + 1);
+                    self.next_wake = self.next_wake.min(now + 1);
+                });
+            }
 
             // Occupancy sampling (reads only; active at counters level+).
             if let Some(s) = &mut self.sampler {
@@ -825,40 +915,40 @@ impl System {
                             self.tracer.event(now, EventKind::FaultDrop, resp_id);
                         }
                     } else {
-                        self.route_response(resp);
+                        self.route_response(resp, now);
                         progressed = true;
                     }
                 }
             }
             if fault_on {
                 while let Some(resp) = self.fault.pop_ready(now) {
-                    self.route_response(resp);
+                    self.route_response(resp, now);
                     progressed = true;
                 }
             }
 
             // 6. Watchdog: any retirement above restarts the quiet-period
-            //    clock; a long enough silence trips the stall report.
+            //    clock; the first silent cycle past the threshold trips the
+            //    stall report. Skipping never jumps past that cycle, so
+            //    both paths report a stall at the same cycle.
             if progressed {
                 if let Some(w) = &mut self.watchdog {
                     w.note_progress(now);
                 }
-            } else if self.host_ticks & WATCHDOG_POLL_MASK == 0 {
-                if let Some(w) = &self.watchdog {
-                    if w.is_stalled(now) {
-                        return Err(RunError::Stalled(Box::new(self.diagnostic_snapshot())));
-                    }
-                }
+            } else if self.watchdog.as_ref().is_some_and(|w| w.is_stalled(now)) {
+                self.sync_pes();
+                return Err(RunError::Stalled(Box::new(self.diagnostic_snapshot())));
             }
 
             // 7. Iteration barrier.
             if self.sched.iteration_done()
-                && self.pes.iter().all(|p| p.is_idle())
+                && self.idle_pes == self.pes.len()
                 && self.moms.is_idle()
                 && self.mem.is_idle()
                 && self.seg_q.iter().all(|q| q.is_empty())
                 && self.fault.pending() == 0
             {
+                self.sync_pes();
                 break;
             }
             assert!(
@@ -866,97 +956,70 @@ impl System {
                 "iteration did not converge within the cycle safety limit"
             );
 
-            // 8. Idle skipping: when every component is provably inert
-            //    until some future cycle, fast-forward the clock to just
-            //    before it and book the skipped cycles into the same
-            //    statistics the unskipped loop would have produced.
-            if self.cfg.idle_skip {
-                if let Some(gap) = self.idle_gap(now, safety_limit) {
-                    self.now += gap;
-                    for pe in &mut self.pes {
-                        pe.credit_inert_cycles(gap);
-                    }
+            // 8. Jump over cycles in which nothing has work.
+            if !every_cycle {
+                if let Some(to) = self.quiet_until(now, safety_limit) {
+                    self.now = to - 1;
                 }
             }
         }
         Ok(edges)
     }
 
-    /// Cycles that may be fast-forwarded because no component can change
-    /// observable state before then; the loop then executes the first
-    /// potentially eventful cycle normally. `None` means tick normally.
+    /// The next cycle at which anything can act, when that is later than
+    /// `now + 1`: no PE is due before it, the MOMS and the DMA queues are
+    /// quiet, and no job waits for an idle PE. The loop may jump straight
+    /// there; the PEs book the skipped cycles when next touched. `None`
+    /// means tick `now + 1` as usual.
     ///
-    /// The predicate is conservative: every component either names its
-    /// earliest possible self-driven event or answers "next cycle" when
-    /// it cannot prove inertness. Skipped cycles are exactly the ticks
-    /// that would have been no-ops, which is what keeps skip-on and
-    /// skip-off runs bit-identical (`tests/determinism.rs`).
-    fn idle_gap(&self, now: Cycle, safety_limit: Cycle) -> Option<u64> {
-        // Host-side work at the top of the loop: job dispatch and segment
-        // issue both act on the very next tick.
-        if !self.sched.queue.is_empty() && self.pes.iter().any(|p| p.is_idle()) {
+    /// Every source is conservative: a PE names its own next event, DRAM
+    /// its next completion or schedulable request, and anything else that
+    /// could act returns `None` here.
+    fn quiet_until(&self, now: Cycle, safety_limit: Cycle) -> Option<Cycle> {
+        if !self.seg_busy.is_empty() || !self.moms.is_quiet() {
             return None;
         }
-        if self.seg_q.iter().any(|q| !q.is_empty()) {
+        if self.idle_pes > 0 && !self.sched.queue.is_empty() {
             return None;
         }
         if self.fault.is_active() && self.fault.pending() > 0 {
             return None;
         }
-        // Probe components cheapest-first and bail as soon as one reports
-        // an event at `now + 1`: no gap is possible then, so the pricier
-        // probes (the MOMS iterates every bank) never run on a busy
-        // cycle. A source at `now + 1` caps the min at `now + 1` whatever
-        // the others say, so bailing early merges to the same answer.
-        let mut next: Option<Cycle> = None;
-        let mut merge = |c: Cycle| {
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            c <= now + 1
-        };
-        for pe in &self.pes {
-            if let Some(c) = pe.next_event(now) {
-                if merge(c) {
-                    return None;
-                }
-            }
+        let mut target = self.next_wake;
+        if target <= now + 1 {
+            return None;
         }
         if let Some(c) = self.mem.next_event(now) {
-            if merge(c) {
-                return None;
-            }
+            target = target.min(c);
         }
-        if let Some(c) = self.moms.next_event(now) {
-            if merge(c) {
-                return None;
-            }
-        }
-        let mut target = match next {
-            Some(t) => t,
+        let trip = self
+            .watchdog
+            .as_ref()
+            .map(|w| w.last_progress() + w.threshold() + 1);
+        if target == NEVER {
             // No component can ever act again on its own: a genuine
             // deadlock. Jump straight to where the watchdog can trip so
             // detection stays prompt; without a watchdog, tick normally
             // and let the deadline or safety limit catch it.
-            None => match &self.watchdog {
-                Some(w) => w.last_progress() + w.threshold() + 1,
-                None => return None,
-            },
-        };
+            target = trip?;
+        }
         // Never skip over a sampling boundary (the occupancy series must
         // record every period point), the watchdog trip point, or the
         // convergence safety limit.
         if let Some(s) = &self.sampler {
             target = target.min((now / s.period + 1) * s.period);
         }
-        if let Some(w) = &self.watchdog {
-            target = target.min(w.last_progress() + w.threshold() + 1);
+        if let Some(t) = trip {
+            target = target.min(t);
         }
         target = target.min(safety_limit);
-        (target > now + 1).then(|| target - 1 - now)
+        (target > now + 1).then_some(target)
     }
 
     /// Delivers one DRAM completion to its owner (MOMS line fetch or PE
-    /// burst segment).
-    fn route_response(&mut self, resp: DramResponse) {
+    /// burst segment) in cycle `now`. A PE is caught up first, since the
+    /// completion changes it, and is due next cycle.
+    fn route_response(&mut self, resp: DramResponse, now: Cycle) {
         if MomsSystem::owns_dram_id(resp.id) {
             self.moms.dram_response(resp.id, resp.lines);
         } else {
@@ -969,7 +1032,10 @@ impl System {
             bursts[idx].1 -= 1;
             if bursts[idx].1 == 0 {
                 bursts.swap_remove(idx);
+                self.pes[pe].catch_up(now, &mut self.img);
                 self.pes[pe].burst_complete(tag, &self.img);
+                self.wake[pe] = now + 1;
+                self.next_wake = self.next_wake.min(now + 1);
             }
         }
     }

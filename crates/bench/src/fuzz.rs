@@ -51,6 +51,10 @@
 //!    but never results: values must match the clean run (exactly for
 //!    monotone algorithms; within 1 ulp on one device / 1e-5 across the
 //!    fabric for PageRank, the bars the robustness suites establish).
+//! 7. `skip-identity` — the single-device run, repeated with
+//!    `idle_skip = false` (every PE and MOMS part ticked every cycle),
+//!    must reproduce every [`accel::RunResult`] field except
+//!    `host_ticks`: values, cycles, statistics, metrics and traces.
 //!
 //! A panic anywhere inside a case is caught and reported as the `panic`
 //! oracle; a watchdog stall is an `engine-stall`/`fabric-stall` failure;
@@ -78,7 +82,7 @@ use accel::fuzz::{
     cache_tag, execution_tag, parse_cache, parse_execution, parse_topology, topology_tag,
     FuzzTarget,
 };
-use accel::{Fabric, FabricError, LinkTopology, RunError, System};
+use accel::{Fabric, FabricError, LinkTopology, RunError, RunResult, System};
 use algos::{golden, Algorithm};
 use graph::{CooGraph, GraphSpec};
 use moms::Topology;
@@ -818,7 +822,7 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
     let mut single = case.target.clone();
     single.devices = 1;
     single.sim_threads = 1;
-    let rc = single.run_config(&g);
+    let mut rc = single.run_config(&g);
     let (cfg, partitioner) = rc.build();
     let sys = match System::new(&g, partitioner, case.algo, cfg).run_to_outcome(Some(deadline)) {
         Ok(r) => r,
@@ -900,6 +904,38 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
         }
     }
 
+    // Oracle 7: the exhaustive loop, which ticks every PE and MOMS part
+    // every cycle, must reproduce the skipping run field for field.
+    rc.idle_skip = false;
+    let (cfg, partitioner) = rc.build();
+    let exhaustive =
+        match System::new(&g, partitioner, case.algo, cfg).run_to_outcome(Some(deadline)) {
+            Ok(r) => r,
+            Err(RunError::TimedOut) => return CaseOutcome::TimedOut,
+            Err(RunError::Stalled(_)) => {
+                return fail(
+                    "skip-identity",
+                    "the run stalled with idle_skip off but finished with it on".to_owned(),
+                )
+            }
+        };
+    work += exhaustive.cycles;
+    let simulated = |r: &RunResult| {
+        format!(
+            "{:?}",
+            RunResult {
+                host_ticks: 0,
+                ..r.clone()
+            }
+        )
+    };
+    if let Some(at) = first_difference(&simulated(&sys), &simulated(&exhaustive)) {
+        return fail(
+            "skip-identity",
+            format!("idle_skip off diverged from on at rendered byte {at}"),
+        );
+    }
+
     // Fabric oracles: only when the case shards across devices.
     if case.target.devices > 1 {
         let mut fab_target = case.target.clone();
@@ -934,14 +970,7 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
                 Err(e) => return fail("threads-identity", fabric_error_line(&e)),
             };
             work += threaded.cycles;
-            let a = format!("{clean:?}");
-            let b = format!("{threaded:?}");
-            if a != b {
-                let at = a
-                    .bytes()
-                    .zip(b.bytes())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(a.len().min(b.len()));
+            if let Some(at) = first_difference(&format!("{clean:?}"), &format!("{threaded:?}")) {
                 return fail(
                     "threads-identity",
                     format!(
@@ -1003,6 +1032,17 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
 
     let _ = n;
     CaseOutcome::Pass { work }
+}
+
+/// The first byte at which two `Debug` renderings differ, or `None` when
+/// they match.
+fn first_difference(a: &str, b: &str) -> Option<usize> {
+    (a != b).then(|| {
+        a.bytes()
+            .zip(b.bytes())
+            .position(|(x, y)| x != y)
+            .unwrap_or(a.len().min(b.len()))
+    })
 }
 
 fn fabric_error_line(e: &FabricError) -> String {

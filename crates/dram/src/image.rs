@@ -51,6 +51,7 @@ impl MemImage {
     /// # Panics
     ///
     /// Panics if `addr + 4` exceeds the image size.
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
         let a = addr as usize;
         u32::from_le_bytes(self.bytes[a..a + 4].try_into().expect("4 bytes"))
@@ -61,6 +62,7 @@ impl MemImage {
     /// # Panics
     ///
     /// Panics if `addr + 4` exceeds the image size.
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) {
         let a = addr as usize;
         self.bytes[a..a + 4].copy_from_slice(&v.to_le_bytes());
@@ -71,6 +73,7 @@ impl MemImage {
     /// # Panics
     ///
     /// Panics if `addr + 8` exceeds the image size.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let a = addr as usize;
         u64::from_le_bytes(self.bytes[a..a + 8].try_into().expect("8 bytes"))
@@ -81,6 +84,7 @@ impl MemImage {
     /// # Panics
     ///
     /// Panics if `addr + 8` exceeds the image size.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         let a = addr as usize;
         self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());

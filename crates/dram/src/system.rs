@@ -46,6 +46,7 @@ impl MemorySystem {
     }
 
     /// Maps a global byte address to `(channel index, channel-local address)`.
+    #[inline]
     pub fn route(&self, addr: u64) -> (usize, u64) {
         let n = self.channels.len() as u64;
         let block = addr / INTERLEAVE_BYTES;
@@ -82,6 +83,7 @@ impl MemorySystem {
     }
 
     /// `true` when channel `ch` can accept a request this cycle.
+    #[inline]
     pub fn can_accept(&self, ch: usize) -> bool {
         self.channels[ch].can_accept()
     }
@@ -112,6 +114,7 @@ impl MemorySystem {
     /// Pops a response from channel `ch` if one has matured.
     ///
     /// The response's `addr` is channel-local; issuers match on `id`.
+    #[inline]
     pub fn pop_response(&mut self, now: Cycle, ch: usize) -> Option<DramResponse> {
         self.channels[ch].pop_response(now)
     }

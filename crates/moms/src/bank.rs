@@ -248,53 +248,22 @@ impl MomsBank {
         self.mem_resp_q.push((line, count)).is_ok()
     }
 
-    /// Earliest future cycle at which this bank can change observable
-    /// state on its own: queued work becoming processable (possibly gated
-    /// by a multi-cycle structural cost), staged queue items turning
-    /// visible, or an assembly window maturing. `None` when the bank is
-    /// inert — it may still hold live MSHRs waiting on memory responses,
-    /// which arrive through the caller and are the caller's events.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut merge = |c: Cycle| {
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        };
-        // Work the pipeline can process once `busy_until` passes.
-        if !self.in_q.is_empty() || !self.mem_resp_q.is_empty() || !self.replay.is_empty() {
-            merge(self.busy_until.max(now + 1));
-        }
-        // Visible output waits on external consumers, staged output turns
-        // visible next tick — either way the surrounding system can move.
-        if !self.out_q.is_empty() || !self.mem_req_q.is_empty() {
-            merge(now + 1);
-        }
-        if !self.assembly.is_empty() {
-            let max_lines = self.cfg.burst_assembly.map_or(1, |b| b.max_lines);
-            let full_mask = if max_lines >= 32 {
-                u32::MAX
-            } else {
-                (1u32 << max_lines) - 1
-            };
-            for w in &self.assembly {
-                if w.mask == full_mask {
-                    merge(now + 1);
-                } else {
-                    merge(w.deadline.max(now + 1));
-                }
-            }
-        }
-        next
-    }
-
-    /// `true` when nothing is queued, pending, or replaying.
-    pub fn is_idle(&self) -> bool {
+    /// `true` when nothing is queued, staged, replaying or assembling:
+    /// ticking the bank changes nothing until a request or a memory
+    /// response is pushed into it. It may still hold live MSHRs waiting on
+    /// memory responses, which arrive through the caller.
+    pub fn is_quiet(&self) -> bool {
         self.in_q.is_empty()
             && self.out_q.is_empty()
             && self.mem_req_q.is_empty()
             && self.mem_resp_q.is_empty()
             && self.replay.is_empty()
             && self.assembly.is_empty()
-            && self.mshr.occupancy() == 0
+    }
+
+    /// `true` when nothing is queued, pending, or replaying.
+    pub fn is_idle(&self) -> bool {
+        self.is_quiet() && self.mshr.occupancy() == 0
     }
 
     /// Point-in-time view of this bank's occupancy and cache statistics.

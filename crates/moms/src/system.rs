@@ -13,9 +13,14 @@
 //! Die crossings add [`MomsSystemConfig::crossing_latency`] cycles per SLR
 //! hop in each direction; requests and responses between same-SLR endpoints
 //! pay only the base network latency.
+//!
+//! A tick visits only the parts with work: activity sets remember which
+//! PE ports, banks and networks hold anything, and every loop walks its
+//! set in ascending index order, as the full loops did, so arbitration
+//! and results are unchanged. A fully quiet system ticks in O(1).
 
 use simkit::trace::{TraceConfig, TraceEvent, Tracer, Track};
-use simkit::{Cycle, Fifo, Stats};
+use simkit::{for_each_member, BitSet, Cycle, Fifo, Stats};
 
 use dram::{DramRequest, MemorySystem, INTERLEAVE_BYTES, LINE_BYTES};
 
@@ -232,13 +237,30 @@ pub struct MomsSystem {
     /// Round-robin arbitration pointers per shared bank.
     req_rr: Vec<usize>,
     /// Per-PE memoised target bank of the head request in the routing
-    /// scans (`NO_TARGET` = no pending request). Refilled every tick so
-    /// the per-(bank, PE) round-robin probes compare a cached index
+    /// scans (`NO_TARGET` = no pending request, the state between ticks).
+    /// The per-(bank, PE) round-robin probes compare a cached index
     /// instead of re-hashing the line address each time.
     route_scratch: Vec<u32>,
-    /// Per-shared-bank count of PEs whose memoised head request targets
-    /// it; banks with a zero count skip their round-robin scan entirely.
-    bank_scratch: Vec<u16>,
+    /// Shared banks some memoised head request targets during a routing
+    /// scan; banks outside it skip their round-robin scan entirely.
+    targets: BitSet,
+    /// PEs whose request port holds items.
+    req_ports: BitSet,
+    /// PEs whose response port holds items.
+    resp_ports: BitSet,
+    /// Private banks that are not quiet or have stashed DRAM responses.
+    busy_private: BitSet,
+    /// Shared banks that are not quiet or have stashed DRAM responses.
+    busy_shared: BitSet,
+    /// Shared banks with requests in flight towards them.
+    busy_req_net: BitSet,
+    /// PEs with responses in flight towards them (Shared topology).
+    busy_resp_net: BitSet,
+    /// PEs with lines in flight to their private bank (TwoLevel).
+    busy_line_net: BitSet,
+    /// `false` on the exhaustive path: every activity set stays full, so
+    /// every part is visited on every tick.
+    track_activity: bool,
     banks_per_channel: usize,
     /// DRAM-side transaction counters kept as plain fields (hot path);
     /// folded into the [`stats`](Self::stats) aggregate on demand.
@@ -292,7 +314,15 @@ impl MomsSystem {
             dram_stash: vec![std::collections::VecDeque::new(); n_dram_requesters],
             req_rr: vec![0; nb],
             route_scratch: vec![NO_TARGET; cfg.num_pes],
-            bank_scratch: vec![0; nb],
+            targets: BitSet::new(nb),
+            req_ports: BitSet::new(cfg.num_pes),
+            resp_ports: BitSet::new(cfg.num_pes),
+            busy_private: BitSet::new(private.len()),
+            busy_shared: BitSet::new(shared.len()),
+            busy_req_net: BitSet::new(nb),
+            busy_resp_net: BitSet::new(cfg.num_pes),
+            busy_line_net: BitSet::new(cfg.num_pes),
+            track_activity: true,
             banks_per_channel,
             n_dram_line_requests: 0,
             n_dram_transactions: 0,
@@ -341,6 +371,7 @@ impl MomsSystem {
         assert!(req.id < 1 << 16, "request id must fit 16 bits");
         let accepted = self.pe_req[pe].push(req).is_ok();
         if accepted {
+            self.req_ports.insert(pe);
             if let Some(t) = &mut self.trace {
                 if t.len() < self.trace_cap {
                     t.push((pe as u16, req.line));
@@ -348,6 +379,22 @@ impl MomsSystem {
             }
         }
         accepted
+    }
+
+    /// Switches to the exhaustive reference path: every port, network and
+    /// bank counts as active on every tick, as in a loop over all of them.
+    /// Results are identical to the default, which visits only the parts
+    /// with work; the tests compare the two.
+    pub fn visit_every_part(&mut self) {
+        self.track_activity = false;
+        let pes = self.cfg.num_pes;
+        self.req_ports = BitSet::full(pes);
+        self.resp_ports = BitSet::full(pes);
+        self.busy_private = BitSet::full(self.private.len());
+        self.busy_shared = BitSet::full(self.shared.len());
+        self.busy_req_net = BitSet::full(self.req_net.len());
+        self.busy_resp_net = BitSet::full(pes);
+        self.busy_line_net = BitSet::full(pes);
     }
 
     /// Starts recording accepted requests as a `(pe, line)` trace, keeping
@@ -427,11 +474,13 @@ impl MomsSystem {
     }
 
     /// Pops a completed response for PE `pe`, with the original id.
+    #[inline]
     pub fn pop_response(&mut self, pe: usize) -> Option<MomsResp> {
         self.pe_resp[pe].pop()
     }
 
     /// `true` when `id` belongs to this MOMS (set bit 63).
+    #[inline]
     pub fn owns_dram_id(id: u64) -> bool {
         id & MOMS_ID_FLAG != 0
     }
@@ -442,16 +491,58 @@ impl MomsSystem {
     pub fn dram_response(&mut self, id: u64, lines: u32) {
         let (bank, line) = decode_dram_id(id);
         self.dram_stash[bank].push_back((line, lines));
+        match self.cfg.topology {
+            Topology::Private => self.busy_private.insert(bank),
+            _ => self.busy_shared.insert(bank),
+        }
+    }
+
+    /// `true` when no port, network or bank holds anything: a tick changes
+    /// nothing until a PE request or a DRAM response arrives. Outstanding
+    /// misses may still wait on DRAM, whose completions are the caller's.
+    #[inline]
+    pub fn is_quiet(&self) -> bool {
+        self.track_activity
+            && self.req_ports.is_empty()
+            && self.resp_ports.is_empty()
+            && self.busy_private.is_empty()
+            && self.busy_shared.is_empty()
+            && self.busy_req_net.is_empty()
+            && self.busy_resp_net.is_empty()
+            && self.busy_line_net.is_empty()
+    }
+
+    /// PEs whose response port holds a response, visible now or after the
+    /// next tick. Exact after a [`tick`](Self::tick); every PE on the
+    /// exhaustive path.
+    #[inline]
+    pub fn responding_pes(&self) -> &BitSet {
+        &self.resp_ports
+    }
+
+    /// Removes `i` from `set` once its part has no work left (never on the
+    /// exhaustive path, where every set stays full).
+    fn settle(track_activity: bool, set: &mut BitSet, i: usize, quiet: bool) {
+        if track_activity && quiet {
+            set.remove(i);
+        }
     }
 
     /// Advances one cycle, exchanging line fetches with `mem`.
     pub fn tick(&mut self, now: Cycle, mem: &mut MemorySystem) {
-        for q in &mut self.pe_req {
-            q.tick();
+        if self.is_quiet() {
+            return;
         }
-        for q in &mut self.pe_resp {
-            q.tick();
-        }
+        let track = self.track_activity;
+        for_each_member!(self.req_ports, pe => {
+            self.pe_req[pe].tick();
+        });
+        // Ports a PE emptied since the last tick leave the set here.
+        for_each_member!(self.resp_ports, pe => {
+            let port = &mut self.pe_resp[pe];
+            port.tick();
+            Self::settle(track, &mut self.resp_ports, pe, port.is_empty());
+        });
 
         match self.cfg.topology {
             Topology::Shared => self.tick_shared_level_from_pes(now),
@@ -478,169 +569,173 @@ impl MomsSystem {
 
     /// PE queues → crossbar → shared banks (Shared topology).
     fn tick_shared_level_from_pes(&mut self, now: Cycle) {
+        let track = self.track_activity;
         let npes = self.cfg.num_pes;
         // Memoise each PE's head-request target bank once per tick: the
         // per-(bank, PE) round-robin probes below then compare a cached
         // index instead of re-hashing the line address every time. Grant
         // order and results are identical to hashing in the inner loop.
-        let mut pending = 0usize;
-        self.bank_scratch.fill(0);
-        for pe in 0..npes {
-            self.route_scratch[pe] = match self.pe_req[pe].peek() {
-                Some(req) => {
-                    pending += 1;
-                    let b = self.shared_bank_for_line(req.line);
-                    self.bank_scratch[b] += 1;
-                    b as u32
-                }
-                None => NO_TARGET,
-            };
-        }
-        if pending > 0 {
-            for b in 0..self.shared.len() {
-                // A bank no PE is heading for would scan to no effect.
-                if self.bank_scratch[b] == 0 {
-                    continue;
-                }
-                // Credit: in-flight plus queued must fit the bank input
-                // queue.
-                let inflight = self.req_net[b].len();
-                if inflight + self.shared[b].in_q_len() >= self.shared[b].config().in_queue {
-                    continue;
-                }
-                let start = self.req_rr[b];
-                let mut pe = start;
-                for _ in 0..npes {
-                    if self.route_scratch[pe] != b as u32 {
-                        pe += 1;
-                        if pe == npes {
-                            pe = 0;
-                        }
-                        continue;
+        for_each_member!(self.req_ports, pe => {
+            if let Some(req) = self.pe_req[pe].peek() {
+                let b = self.shared_bank_for_line(req.line);
+                self.targets.insert(b);
+                self.route_scratch[pe] = b as u32;
+            }
+        });
+        let mut next_bank = 0;
+        while let Some(b) = self.targets.next_from(next_bank) {
+            next_bank = b + 1;
+            // Credit: in-flight plus queued must fit the bank input
+            // queue.
+            let inflight = self.req_net[b].len();
+            if inflight + self.shared[b].in_q_len() >= self.shared[b].config().in_queue {
+                continue;
+            }
+            let start = self.req_rr[b];
+            let mut pe = start;
+            for _ in 0..npes {
+                if self.route_scratch[pe] != b as u32 {
+                    pe += 1;
+                    if pe == npes {
+                        pe = 0;
                     }
-                    let req = self.pe_req[pe].pop().expect("memoised head present");
-                    // A later bank in this same tick may take this PE's
-                    // *next* request: refresh the memo.
-                    self.bank_scratch[b] -= 1;
-                    self.route_scratch[pe] = match self.pe_req[pe].peek() {
-                        Some(r) => {
-                            let nb = self.shared_bank_for_line(r.line);
-                            self.bank_scratch[nb] += 1;
-                            nb as u32
-                        }
-                        None => NO_TARGET,
-                    };
-                    let lat = self.net_latency(self.cfg.pe_slr[pe], self.shared_bank_slr(b));
-                    let wrapped = MomsReq {
-                        id: (pe as u32) << 16 | req.id,
-                        ..req
-                    };
-                    self.req_net[b].push(InFlight {
-                        ready: now + lat,
-                        item: wrapped,
-                    });
-                    rr_next(&mut self.req_rr[b], npes);
-                    break;
+                    continue;
                 }
+                let req = self.pe_req[pe].pop().expect("memoised head present");
+                // A later bank in this same tick may take this PE's
+                // *next* request: refresh the memo.
+                self.route_scratch[pe] = match self.pe_req[pe].peek() {
+                    Some(r) => {
+                        let nb = self.shared_bank_for_line(r.line);
+                        self.targets.insert(nb);
+                        nb as u32
+                    }
+                    None => NO_TARGET,
+                };
+                Self::settle(track, &mut self.req_ports, pe, self.pe_req[pe].is_empty());
+                let lat = self.net_latency(self.cfg.pe_slr[pe], self.shared_bank_slr(b));
+                let wrapped = MomsReq {
+                    id: (pe as u32) << 16 | req.id,
+                    ..req
+                };
+                self.req_net[b].push(InFlight {
+                    ready: now + lat,
+                    item: wrapped,
+                });
+                self.busy_req_net.insert(b);
+                rr_next(&mut self.req_rr[b], npes);
+                break;
             }
         }
-        // Mature arrivals into bank inputs.
-        let (req_net, shared) = (&mut self.req_net, &mut self.shared);
-        for (b, bank) in shared.iter_mut().enumerate() {
-            Self::drain_ready(&mut req_net[b], now, |item| {
-                bank.can_accept() && bank.try_request(item)
+        // Back to the between-ticks state for every PE the scan memoised.
+        self.targets.clear();
+        for_each_member!(self.req_ports, pe => {
+            self.route_scratch[pe] = NO_TARGET;
+        });
+        self.deliver_requests_to_shared_banks(now);
+    }
+
+    /// Mature crossbar arrivals into shared bank inputs.
+    fn deliver_requests_to_shared_banks(&mut self, now: Cycle) {
+        let track = self.track_activity;
+        for_each_member!(self.busy_req_net, b => {
+            let bank = &mut self.shared[b];
+            let mut delivered = false;
+            Self::drain_ready(&mut self.req_net[b], now, |item| {
+                let ok = bank.can_accept() && bank.try_request(item);
+                delivered |= ok;
+                ok
             });
-        }
+            if delivered {
+                self.busy_shared.insert(b);
+            }
+            Self::settle(track, &mut self.busy_req_net, b, self.req_net[b].is_empty());
+        });
     }
 
     /// PE queues → own private bank (Private and TwoLevel topologies).
     fn tick_private_front(&mut self, _now: Cycle) {
-        for pe in 0..self.cfg.num_pes {
+        let track = self.track_activity;
+        for_each_member!(self.req_ports, pe => {
             if let Some(&req) = self.pe_req[pe].peek() {
                 if self.private[pe].can_accept() && self.private[pe].try_request(req) {
                     self.pe_req[pe].pop();
+                    self.busy_private.insert(pe);
+                    Self::settle(track, &mut self.req_ports, pe, self.pe_req[pe].is_empty());
                 }
             }
-        }
+        });
     }
 
     /// Private bank line misses → crossbar → shared banks (TwoLevel).
     fn tick_shared_level_from_private(&mut self, now: Cycle) {
         let npes = self.cfg.num_pes;
         // Same memoisation as `tick_shared_level_from_pes`, keyed on each
-        // private bank's pending line request.
-        let mut pending = 0usize;
-        self.bank_scratch.fill(0);
-        for pe in 0..npes {
-            self.route_scratch[pe] = match self.private[pe].peek_mem_request() {
-                Some((line, count)) => {
-                    debug_assert_eq!(count, 1, "two-level private banks emit single lines");
-                    pending += 1;
-                    let b = self.shared_bank_for_line(line);
-                    self.bank_scratch[b] += 1;
-                    b as u32
-                }
-                None => NO_TARGET,
-            };
-        }
-        if pending > 0 {
-            for b in 0..self.shared.len() {
-                if self.bank_scratch[b] == 0 {
-                    continue;
-                }
-                let inflight = self.req_net[b].len();
-                if inflight + self.shared[b].in_q_len() >= self.shared[b].config().in_queue {
-                    continue;
-                }
-                let start = self.req_rr[b];
-                let mut pe = start;
-                for _ in 0..npes {
-                    if self.route_scratch[pe] != b as u32 {
-                        pe += 1;
-                        if pe == npes {
-                            pe = 0;
-                        }
-                        continue;
+        // private bank's pending line request (a bank holding one is
+        // never quiet, so it is in `busy_private`).
+        for_each_member!(self.busy_private, pe => {
+            if let Some((line, count)) = self.private[pe].peek_mem_request() {
+                debug_assert_eq!(count, 1, "two-level private banks emit single lines");
+                let b = self.shared_bank_for_line(line);
+                self.targets.insert(b);
+                self.route_scratch[pe] = b as u32;
+            }
+        });
+        let mut next_bank = 0;
+        while let Some(b) = self.targets.next_from(next_bank) {
+            next_bank = b + 1;
+            let inflight = self.req_net[b].len();
+            if inflight + self.shared[b].in_q_len() >= self.shared[b].config().in_queue {
+                continue;
+            }
+            let start = self.req_rr[b];
+            let mut pe = start;
+            for _ in 0..npes {
+                if self.route_scratch[pe] != b as u32 {
+                    pe += 1;
+                    if pe == npes {
+                        pe = 0;
                     }
-                    let (line, _) = self.private[pe].peek_mem_request().expect("memoised head");
-                    self.private[pe].pop_mem_request();
-                    self.bank_scratch[b] -= 1;
-                    self.route_scratch[pe] = match self.private[pe].peek_mem_request() {
-                        Some((l, _)) => {
-                            let nb = self.shared_bank_for_line(l);
-                            self.bank_scratch[nb] += 1;
-                            nb as u32
-                        }
-                        None => NO_TARGET,
-                    };
-                    let lat = self.net_latency(self.cfg.pe_slr[pe], self.shared_bank_slr(b));
-                    self.req_net[b].push(InFlight {
-                        ready: now + lat,
-                        item: MomsReq {
-                            line,
-                            word: 0,
-                            id: pe as u32,
-                        },
-                    });
-                    rr_next(&mut self.req_rr[b], npes);
-                    break;
+                    continue;
                 }
+                let (line, _) = self.private[pe].peek_mem_request().expect("memoised head");
+                self.private[pe].pop_mem_request();
+                self.route_scratch[pe] = match self.private[pe].peek_mem_request() {
+                    Some((l, _)) => {
+                        let nb = self.shared_bank_for_line(l);
+                        self.targets.insert(nb);
+                        nb as u32
+                    }
+                    None => NO_TARGET,
+                };
+                let lat = self.net_latency(self.cfg.pe_slr[pe], self.shared_bank_slr(b));
+                self.req_net[b].push(InFlight {
+                    ready: now + lat,
+                    item: MomsReq {
+                        line,
+                        word: 0,
+                        id: pe as u32,
+                    },
+                });
+                self.busy_req_net.insert(b);
+                rr_next(&mut self.req_rr[b], npes);
+                break;
             }
         }
-        let (req_net, shared) = (&mut self.req_net, &mut self.shared);
-        for (b, bank) in shared.iter_mut().enumerate() {
-            Self::drain_ready(&mut req_net[b], now, |item| {
-                bank.can_accept() && bank.try_request(item)
-            });
-        }
+        self.targets.clear();
+        for_each_member!(self.busy_private, pe => {
+            self.route_scratch[pe] = NO_TARGET;
+        });
+        self.deliver_requests_to_shared_banks(now);
     }
 
     /// Ticks banks, forwards their memory requests to DRAM (with static
     /// channel binding), and feeds stashed DRAM responses back.
     fn tick_dram_side(&mut self, now: Cycle, mem: &mut MemorySystem) {
+        let track = self.track_activity;
         let to_dram_direct = matches!(self.cfg.topology, Topology::Private);
 
-        for i in 0..self.private.len() {
+        for_each_member!(self.busy_private, i => {
             let bank = &mut self.private[i];
             bank.tick(now);
             if to_dram_direct {
@@ -666,10 +761,12 @@ impl MomsSystem {
                     }
                 }
             }
-        }
+            let quiet = bank.is_quiet() && (!to_dram_direct || self.dram_stash[i].is_empty());
+            Self::settle(track, &mut self.busy_private, i, quiet);
+        });
 
         let banks_per_channel = self.banks_per_channel;
-        for b in 0..self.shared.len() {
+        for_each_member!(self.busy_shared, b => {
             let bank = &mut self.shared[b];
             bank.tick(now);
             if let Some((line, count)) = bank.peek_mem_request() {
@@ -695,12 +792,15 @@ impl MomsSystem {
                     break;
                 }
             }
-        }
+            let quiet = bank.is_quiet() && self.dram_stash[b].is_empty();
+            Self::settle(track, &mut self.busy_shared, b, quiet);
+        });
     }
 
     /// Shared bank responses → crossbar → PE ports (Shared topology).
     fn deliver_shared_responses_to_pes(&mut self, now: Cycle) {
-        for b in 0..self.shared.len() {
+        let track = self.track_activity;
+        for_each_member!(self.busy_shared, b => {
             // One response per bank per cycle into the network.
             if let Some(resp) = self.shared[b].pop_response() {
                 let pe = (resp.id >> 16) as usize;
@@ -713,18 +813,29 @@ impl MomsSystem {
                     ready: now + lat,
                     item: orig,
                 });
+                self.busy_resp_net.insert(pe);
             }
-        }
-        let (resp_net, pe_resp) = (&mut self.resp_net, &mut self.pe_resp);
-        for (pe, port) in pe_resp.iter_mut().enumerate() {
-            Self::drain_ready(&mut resp_net[pe], now, |item| port.push(item).is_ok());
-        }
+        });
+        for_each_member!(self.busy_resp_net, pe => {
+            let port = &mut self.pe_resp[pe];
+            let mut delivered = false;
+            Self::drain_ready(&mut self.resp_net[pe], now, |item| {
+                let ok = port.push(item).is_ok();
+                delivered |= ok;
+                ok
+            });
+            if delivered {
+                self.resp_ports.insert(pe);
+            }
+            Self::settle(track, &mut self.busy_resp_net, pe, self.resp_net[pe].is_empty());
+        });
     }
 
     /// Shared bank responses → width-limited link → private banks
     /// (TwoLevel).
     fn route_shared_lines_to_private(&mut self, now: Cycle) {
-        for b in 0..self.shared.len() {
+        let track = self.track_activity;
+        for_each_member!(self.busy_shared, b => {
             if let Some(resp) = self.shared[b].pop_response() {
                 let pe = resp.id as usize;
                 let lat = self.net_latency(self.shared_bank_slr(b), self.cfg.pe_slr[pe]);
@@ -732,9 +843,10 @@ impl MomsSystem {
                     ready: now + lat,
                     item: resp.line,
                 });
+                self.busy_line_net.insert(pe);
             }
-        }
-        for pe in 0..self.cfg.num_pes {
+        });
+        for_each_member!(self.busy_line_net, pe => {
             // The 64-bit link admits one line every
             // `resp_link_cycles_per_line` cycles.
             if now < self.link_free[pe] {
@@ -753,21 +865,24 @@ impl MomsSystem {
             });
             if delivered {
                 self.link_free[pe] = now + link_cost;
+                self.busy_private.insert(pe);
             }
-        }
+            Self::settle(track, &mut self.busy_line_net, pe, self.line_net[pe].is_empty());
+        });
     }
 
     /// Private bank responses → PE ports (Private and TwoLevel).
     fn deliver_private_responses(&mut self, _now: Cycle) {
-        for pe in 0..self.cfg.num_pes {
+        for_each_member!(self.busy_private, pe => {
             if self.pe_resp[pe].can_push() {
                 if let Some(resp) = self.private[pe].pop_response() {
                     self.pe_resp[pe]
                         .push(resp)
                         .unwrap_or_else(|_| unreachable!("checked can_push"));
+                    self.resp_ports.insert(pe);
                 }
             }
-        }
+        });
     }
 
     /// Moves every matured item for which `sink` returns `true` out of the
@@ -804,58 +919,6 @@ impl MomsSystem {
                 return;
             }
         }
-    }
-
-    /// Earliest future cycle at which this MOMS can change observable
-    /// state: a bank's own next event, a network item maturing (gated for
-    /// line responses by the width-limited link), or queued/stashed items
-    /// a tick would move. `None` when fully quiescent — outstanding
-    /// misses then wait solely on DRAM, whose completions are the
-    /// caller's events.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // `now + 1` is the floor of every merged value, so once any
-        // source reports it the min cannot improve: return immediately
-        // and spare the per-bank probes.
-        if self.pe_req.iter().any(|q| !q.is_empty())
-            || self.pe_resp.iter().any(|q| !q.is_empty())
-            || self.dram_stash.iter().any(|s| !s.is_empty())
-        {
-            return Some(now + 1);
-        }
-        let mut next: Option<Cycle> = None;
-        let mut merge = |c: Cycle| {
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            c <= now + 1
-        };
-        for b in self.private.iter().chain(self.shared.iter()) {
-            if let Some(c) = b.next_event(now) {
-                if merge(c) {
-                    return next;
-                }
-            }
-        }
-        for net in self.req_net.iter() {
-            for it in net {
-                if merge(it.ready.max(now + 1)) {
-                    return next;
-                }
-            }
-        }
-        for net in self.resp_net.iter() {
-            for it in net {
-                if merge(it.ready.max(now + 1)) {
-                    return next;
-                }
-            }
-        }
-        for (pe, net) in self.line_net.iter().enumerate() {
-            for it in net {
-                if merge(it.ready.max(self.link_free[pe]).max(now + 1)) {
-                    return next;
-                }
-            }
-        }
-        next
     }
 
     /// `true` when every queue, network, and bank is drained.

@@ -4,6 +4,8 @@
 //! MOMS, and accelerator models to express registered, handshaked FPGA
 //! hardware in plain Rust:
 //!
+//! * [`BitSet`] — a fixed-size index set that remembers which components
+//!   have work, so loops visit only those, in ascending order.
 //! * [`Fifo`] — a bounded queue with *two-phase* semantics: items pushed
 //!   during cycle *c* become visible to `pop` only from cycle *c+1*. This
 //!   mirrors a registered FIFO and makes the simulation outcome independent
@@ -42,6 +44,7 @@
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
+pub mod bitset;
 pub mod delay;
 pub mod epoch;
 pub mod fault;
@@ -54,6 +57,7 @@ pub mod stats;
 pub mod trace;
 pub mod watchdog;
 
+pub use bitset::BitSet;
 pub use delay::DelayLine;
 pub use fault::{FaultConfig, FaultInjector, FaultProfile};
 pub use fifo::{Fifo, PushError};

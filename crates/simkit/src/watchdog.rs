@@ -52,12 +52,14 @@ impl Watchdog {
     }
 
     /// Records that something retired at cycle `now`.
+    #[inline]
     pub fn note_progress(&mut self, now: Cycle) {
         self.last_progress = now;
     }
 
     /// `true` once more than the threshold has elapsed since the last
     /// progress event.
+    #[inline]
     pub fn is_stalled(&self, now: Cycle) -> bool {
         now.saturating_sub(self.last_progress) > self.threshold
     }

@@ -9,13 +9,15 @@
 //!   through the engine and returns them in its report.
 //! * A stalled point is a `failed` row plus a failure line in the
 //!   experiment's report, never a panic that takes the sweep down.
-//! * Idle skipping is a host-side optimisation only: with it on or off,
-//!   a run must report the same simulated cycle count, the same result
-//!   values, the same merged statistics, and the same trace event
-//!   stream. Only `host_ticks` (loop iterations actually executed) may
-//!   differ.
+//! * Idle skipping is a host-side optimisation only: with it on, the
+//!   loop ticks only the PEs and MOMS parts that have work and jumps the
+//!   clock over cycles in which nothing does; with it off, it ticks
+//!   everything every cycle. A run must report the same cycle count,
+//!   values, merged statistics, metrics snapshot (PE cycle attribution,
+//!   MOMS and DRAM counters) and trace event stream either way. Only
+//!   `host_ticks` (loop iterations actually executed) may differ.
 
-use accel::{System, SystemConfig};
+use accel::{Driver, ExecutionMode, Fabric, RunConfig, RunError, RunResult, System, SystemConfig};
 use algos::Algorithm;
 use bench::engine::{run_points, EngineConfig, Outcome, PointSpec};
 use bench::experiments::{fig12, Scope};
@@ -122,16 +124,84 @@ fn test_graph() -> CooGraph {
         .with_random_weights(0, 255, 3)
 }
 
-fn run_with_skip(g: &CooGraph, algo: Algorithm, idle_skip: bool) -> accel::RunResult {
-    let mut cfg = SystemConfig::small();
-    cfg.idle_skip = idle_skip;
-    cfg.trace = TraceConfig {
+fn events() -> TraceConfig {
+    TraceConfig {
         level: TraceLevel::Events,
         ..TraceConfig::default()
-    };
+    }
+}
+
+fn run_with_skip(g: &CooGraph, algo: Algorithm, idle_skip: bool) -> RunResult {
+    let mut cfg = SystemConfig::small();
+    cfg.idle_skip = idle_skip;
+    cfg.trace = events();
     System::new(g, Partitioner::new(256, 256), algo, cfg)
         .run_to_outcome(None)
         .unwrap()
+}
+
+/// Runs `rc` twice, skipping on and off.
+fn run_config_both(g: &CooGraph, algo: Algorithm, rc: &RunConfig) -> (RunResult, RunResult) {
+    let run = |idle_skip: bool| {
+        let mut rc = rc.clone();
+        rc.idle_skip = idle_skip;
+        rc.trace = events();
+        let (cfg, partitioner) = rc.build();
+        System::new(g, partitioner, algo, cfg)
+            .run_to_outcome(None)
+            .unwrap()
+    };
+    (run(true), run(false))
+}
+
+/// Every simulated field of two runs must match; only `host_ticks` may
+/// differ, and with skipping off it must equal the cycle count.
+fn assert_same_simulation(name: &str, on: &RunResult, off: &RunResult) {
+    assert_eq!(
+        off.host_ticks, off.cycles,
+        "{name}: with skipping off, every cycle must be ticked"
+    );
+    assert!(
+        on.host_ticks <= on.cycles,
+        "{name}: host ticks cannot exceed simulated cycles"
+    );
+    assert_eq!(on.cycles, off.cycles, "{name}: skipping changed timing");
+    assert_eq!(on.values, off.values, "{name}: skipping changed results");
+    assert_eq!(
+        on.iterations, off.iterations,
+        "{name}: skipping changed iteration count"
+    );
+    assert_eq!(
+        on.edges_processed, off.edges_processed,
+        "{name}: skipping changed edge count"
+    );
+    assert_eq!(
+        on.stats, off.stats,
+        "{name}: skipping changed merged statistics"
+    );
+    assert_eq!(
+        on.metrics.pe_cycles, off.metrics.pe_cycles,
+        "{name}: skipping changed the PE cycle attribution"
+    );
+    assert_eq!(
+        on.metrics, off.metrics,
+        "{name}: skipping changed the MOMS or DRAM metrics"
+    );
+    assert_eq!(
+        to_canonical(&on.trace.events),
+        to_canonical(&off.trace.events),
+        "{name}: skipping changed the trace event stream"
+    );
+    let rest = |r: &RunResult| {
+        format!(
+            "{:?}",
+            RunResult {
+                host_ticks: 0,
+                ..r.clone()
+            }
+        )
+    };
+    assert_eq!(rest(on), rest(off), "{name}: skipping changed the result");
 }
 
 #[test]
@@ -146,44 +216,111 @@ fn idle_skip_is_a_pure_host_optimisation() {
     ] {
         let on = run_with_skip(&g, algo, true);
         let off = run_with_skip(&g, algo, false);
-        let name = algo.name();
-        assert_eq!(
-            off.host_ticks, off.cycles,
-            "{name}: with skipping off, every cycle must be ticked"
-        );
-        assert_eq!(
-            on.cycles, off.cycles,
-            "{name}: idle skipping changed timing"
-        );
-        assert_eq!(
-            on.values, off.values,
-            "{name}: idle skipping changed results"
-        );
-        assert_eq!(
-            on.iterations, off.iterations,
-            "{name}: idle skipping changed iteration count"
-        );
-        assert_eq!(
-            on.edges_processed, off.edges_processed,
-            "{name}: idle skipping changed edge count"
-        );
-        assert_eq!(
-            on.stats, off.stats,
-            "{name}: idle skipping changed merged statistics"
-        );
-        assert_eq!(
-            to_canonical(&on.trace.events),
-            to_canonical(&off.trace.events),
-            "{name}: idle skipping changed the trace event stream"
-        );
-        assert!(
-            on.host_ticks <= on.cycles,
-            "{name}: host ticks cannot exceed simulated cycles"
-        );
+        assert_same_simulation(algo.name(), &on, &off);
         skipped_somewhere |= on.host_ticks < on.cycles;
     }
     assert!(
         skipped_somewhere,
         "idle skipping never engaged on any algorithm; the fast path is dead"
     );
+
+    // The quick architectures: shared, private, two-level 18/16 (the
+    // benchmark's design point) and traditional MSHRs, each with 18 or 20
+    // PEs and many more jobs than PEs.
+    let g = GraphSpec::rmat(10, 8).build(43);
+    for arch in ArchPoint::QUICK {
+        let rc = RunConfig::new(arch.moms_config(4, 64, true), (256, 64));
+        let (on, off) = run_config_both(&g, Algorithm::Scc, &rc);
+        assert_same_simulation(&format!("scc on {}", arch.name), &on, &off);
+    }
+
+    // Forced-synchronous SSSP: Apply writes a separate `V_out`, so it is
+    // self-timed, and the weighted interface keeps free-ID state.
+    let weighted = test_graph();
+    let mut rc = Driver::new().run_config(&weighted);
+    rc.execution = ExecutionMode::ForceSynchronous;
+    let (on, off) = run_config_both(&weighted, Algorithm::sssp(0), &rc);
+    assert_same_simulation("forced-sync sssp", &on, &off);
+}
+
+/// One synchronous PageRank iteration over every 8th source interval:
+/// the `paperscale-setup` benchmark shape at test size, where nearly
+/// every PE-cycle is the fixed-rate Init fill or synchronous Apply.
+fn sparse_pagerank_iteration(g: &CooGraph, idle_skip: bool) -> RunResult {
+    let mut rc = RunConfig::new(
+        ArchPoint::two_level_18_16().moms_config(4, 64, true),
+        (256, 512),
+    );
+    rc.idle_skip = idle_skip;
+    rc.trace = events();
+    let (cfg, partitioner) = rc.build();
+    let mut sys = System::new(g, partitioner, Algorithm::PageRank { iterations: 10 }, cfg);
+    let active: Vec<bool> = (0..sys.num_source_intervals())
+        .map(|s| s % 8 == 0)
+        .collect();
+    assert!(sys.begin_iteration(0, &active) > 0, "no jobs scheduled");
+    let edges = sys.step_iteration(0, None).unwrap();
+    sys.finish(1, edges)
+}
+
+#[test]
+fn idle_skip_jumps_over_self_timed_phases() {
+    let g = GraphSpec::power_law_cluster(8_000, 16_000, 1.7, 0.2, 64, true).build(47);
+    let on = sparse_pagerank_iteration(&g, true);
+    let off = sparse_pagerank_iteration(&g, false);
+    assert_same_simulation("sparse pagerank iteration", &on, &off);
+    assert!(
+        on.host_ticks < on.cycles,
+        "skipping never jumped the clock: {} host ticks for {} cycles",
+        on.host_ticks,
+        on.cycles
+    );
+    assert!(on.metrics.pe_cycles.init > 0 && on.metrics.pe_cycles.apply > 0);
+}
+
+#[test]
+fn idle_skip_leaves_fabric_runs_unchanged() {
+    let g = test_graph();
+    for algo in [Algorithm::sssp(0), Algorithm::pagerank()] {
+        let run = |idle_skip: bool| {
+            let mut rc = Driver::new().devices(2).run_config(&g);
+            rc.idle_skip = idle_skip;
+            let r = Fabric::new(&g, algo, &rc).run_to_outcome(None).unwrap();
+            format!("{r:?}")
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "{}: skipping changed a 2-device fabric run",
+            algo.name()
+        );
+    }
+}
+
+#[test]
+fn idle_skip_reports_a_stall_at_the_same_cycle() {
+    // A black-holed DRAM completion path deadlocks the run. Skipping
+    // never jumps past the watchdog's trip point, so both loops report
+    // the stall at the first silent cycle past the threshold, with the
+    // same diagnostic snapshot.
+    let g = test_graph();
+    let stall = |idle_skip: bool| {
+        let mut cfg = SystemConfig::small();
+        cfg.moms.private = cfg.moms.private.without_cache();
+        cfg.moms.shared = cfg.moms.shared.without_cache();
+        cfg.fault = FaultConfig {
+            profile: FaultProfile::BlackHole,
+            seed: 5,
+        };
+        cfg.watchdog_cycles = Some(20_000);
+        cfg.idle_skip = idle_skip;
+        let mut sys = System::new(&g, Partitioner::new(64, 64), Algorithm::sssp(0), cfg);
+        match sys.run_to_outcome(None) {
+            Err(RunError::Stalled(snap)) => snap,
+            other => panic!("expected a watchdog stall, got {other:?}"),
+        }
+    };
+    let (on, off) = (stall(true), stall(false));
+    assert_eq!(on.cycle, on.last_progress + 20_001);
+    assert_eq!(on.to_string(), off.to_string());
 }
