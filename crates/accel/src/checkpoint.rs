@@ -136,6 +136,17 @@ impl Default for RecoveryConfig {
     }
 }
 
+impl RecoveryConfig {
+    /// The default policy with a checkpoint every `barriers` barriers;
+    /// `None` (recovery off) for 0.
+    pub fn every(barriers: u32) -> Option<RecoveryConfig> {
+        (barriers > 0).then(|| RecoveryConfig {
+            checkpoint_interval: barriers,
+            ..RecoveryConfig::default()
+        })
+    }
+}
+
 /// What tripped the watchdog that a rollback answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryCause {

@@ -1,5 +1,7 @@
 //! PE and system configuration.
 
+use std::str::FromStr;
+
 use dram::DramConfig;
 use moms::{MomsConfig, MomsSystemConfig, Topology};
 use simkit::{Cycle, FaultConfig, TraceConfig};
@@ -81,12 +83,26 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Display label.
+    /// Stable short name, parsed back by [`FromStr`].
     pub fn name(self) -> &'static str {
         match self {
             ExecutionMode::AlgorithmDefault => "default",
             ExecutionMode::ForceSynchronous => "sync",
         }
+    }
+}
+
+impl FromStr for ExecutionMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [
+            ExecutionMode::AlgorithmDefault,
+            ExecutionMode::ForceSynchronous,
+        ]
+        .into_iter()
+        .find(|e| e.name() == s)
+        .ok_or_else(|| format!("unknown execution mode {s:?}"))
     }
 }
 
@@ -129,23 +145,16 @@ impl SystemConfig {
     /// A small configuration for unit tests and examples: 2 PEs, 2
     /// channels, a two-level MOMS with scaled-down banks.
     pub fn small() -> Self {
-        let shared = MomsConfig::paper_shared_bank().scaled(1, 32);
-        let private = MomsConfig::paper_private_bank(false).scaled(1, 32);
         SystemConfig {
             dram: DramConfig::default(),
-            moms: MomsSystemConfig {
-                topology: Topology::TwoLevel,
-                num_pes: 2,
-                num_channels: 2,
-                shared_banks: 4,
-                shared,
-                private,
-                pe_slr: moms::system::default_pe_slrs(2),
-                channel_slr: moms::system::default_channel_slrs(2),
-                crossing_latency: 4,
-                base_net_latency: 2,
-                resp_link_cycles_per_line: 8,
-            },
+            moms: MomsSystemConfig::new(
+                Topology::TwoLevel,
+                2,
+                2,
+                4,
+                MomsConfig::paper_shared_bank().scaled(1, 32),
+                MomsConfig::paper_private_bank(false).scaled(1, 32),
+            ),
             pe: PeConfig {
                 bram_nodes: 1024,
                 ..PeConfig::default()

@@ -15,7 +15,7 @@
 //!     .channels(2)
 //!     .run(&g, Algorithm::bfs(0))?;
 //! assert_eq!(report.values, golden::run(&Algorithm::bfs(0), &g));
-//! assert!(report.gteps_at(200.0) > 0.0);
+//! assert!(report.gteps(200.0) > 0.0);
 //! # Ok::<(), accel::RunError>(())
 //! ```
 
@@ -30,24 +30,39 @@ use crate::run_config::{CacheVariant, RunConfig};
 use crate::system::{RunError, RunResult, System};
 use simkit::Cycle;
 
-/// Builder for one-shot accelerator runs with sensible defaults.
+/// The one description of a run before it meets a graph: every knob a
+/// caller sets, lowered by [`run_config`](Self::run_config) into the
+/// resolved [`RunConfig`] once the graph's size is known.
 ///
 /// Defaults: two-level MOMS, 4 PEs, 2 channels, automatically sized
 /// intervals (destination intervals chosen so jobs outnumber PEs ~16×),
-/// paper-ratio bank capacities, one device (no fabric).
-#[derive(Debug, Clone)]
+/// paper-ratio bank capacities, full caches, one device (no fabric).
+/// Set the public fields directly or chain the builder methods.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Driver {
-    pes: usize,
-    channels: usize,
-    topology: Topology,
-    execution: ExecutionMode,
-    max_iterations: Option<u32>,
-    nd_override: Option<u32>,
-    cacheless: bool,
-    devices: usize,
-    link: LinkConfig,
-    recovery: Option<RecoveryConfig>,
-    sim_threads: usize,
+    /// Processing elements per device.
+    pub pes: usize,
+    /// DRAM channels per device.
+    pub channels: usize,
+    /// MOMS organisation.
+    pub topology: Topology,
+    /// Synchronous/asynchronous control.
+    pub execution: ExecutionMode,
+    /// Iteration cap (`None`: the algorithm's own).
+    pub max_iterations: Option<u32>,
+    /// Destination-interval size (`None`: sized from the graph).
+    pub nd_override: Option<u32>,
+    /// Which cache arrays stay enabled.
+    pub caches: CacheVariant,
+    /// Fabric devices (1: plain single-`System` run).
+    pub devices: usize,
+    /// Inter-accelerator link configuration.
+    pub link: LinkConfig,
+    /// Checkpoint/rollback recovery policy (`None`: off).
+    pub recovery: Option<RecoveryConfig>,
+    /// Host worker threads for the fabric compute phase. Results are
+    /// byte-identical for every value; only host wall-clock time changes.
+    pub sim_threads: usize,
 }
 
 impl Default for Driver {
@@ -66,7 +81,7 @@ impl Driver {
             execution: ExecutionMode::AlgorithmDefault,
             max_iterations: None,
             nd_override: None,
-            cacheless: false,
+            caches: CacheVariant::Full,
             devices: 1,
             link: LinkConfig::default(),
             recovery: None,
@@ -117,9 +132,9 @@ impl Driver {
         self
     }
 
-    /// Removes the cache arrays (MSHRs and subentries only).
-    pub fn cacheless(mut self) -> Self {
-        self.cacheless = true;
+    /// Which cache arrays stay enabled (default: all).
+    pub fn caches(mut self, c: CacheVariant) -> Self {
+        self.caches = c;
         self
     }
 
@@ -131,12 +146,6 @@ impl Driver {
     pub fn devices(mut self, n: usize) -> Self {
         assert!(n > 0, "at least one device");
         self.devices = n;
-        self
-    }
-
-    /// Replaces the whole inter-accelerator link configuration.
-    pub fn link(mut self, link: LinkConfig) -> Self {
-        self.link = link;
         self
     }
 
@@ -172,34 +181,19 @@ impl Driver {
     /// Panics if `rto` is zero.
     pub fn link_retry(mut self, rto: Cycle) -> Self {
         assert!(rto > 0, "link rto must be nonzero");
-        self.link.retry.rto = rto;
-        self.link.retry.rto_cap = self.link.retry.rto_cap.max(rto);
-        self
-    }
-
-    /// Replaces the whole checkpoint/rollback recovery policy.
-    pub fn recovery(mut self, cfg: RecoveryConfig) -> Self {
-        self.recovery = Some(cfg);
+        self.link.retry.set_rto(rto);
         self
     }
 
     /// Enables checkpoint/rollback recovery with a snapshot every
     /// `barriers` barriers (0 disables recovery again).
     pub fn checkpoint_interval(mut self, barriers: u32) -> Self {
-        if barriers == 0 {
-            self.recovery = None;
-        } else {
-            let mut cfg = self.recovery.unwrap_or_default();
-            cfg.checkpoint_interval = barriers;
-            self.recovery = Some(cfg);
-        }
+        self.recovery = RecoveryConfig::every(barriers);
         self
     }
 
     /// Host worker threads for the fabric compute phase (default 0 =
     /// auto: `min(devices, cores)`; 1 forces the sequential path).
-    /// Results are byte-identical for every value — only host wall-clock
-    /// time changes.
     pub fn sim_threads(mut self, n: usize) -> Self {
         self.sim_threads = n;
         self
@@ -226,32 +220,24 @@ impl Driver {
     pub fn run_config(&self, g: &CooGraph) -> RunConfig {
         let nd = self.auto_nd(g.num_nodes());
         let ns = (nd * 2).min(graph::partition::MAX_NS);
-        let mut rc = RunConfig::new(
-            MomsSystemConfig {
-                topology: self.topology,
-                num_pes: self.pes,
-                num_channels: self.channels,
-                shared_banks: 4 * self.channels,
-                shared: MomsConfig::paper_shared_bank().scaled(1, 16),
-                private: MomsConfig::paper_private_bank(false).scaled(1, 16),
-                pe_slr: moms::system::default_pe_slrs(self.pes),
-                channel_slr: moms::system::default_channel_slrs(self.channels),
-                crossing_latency: 4,
-                base_net_latency: 2,
-                resp_link_cycles_per_line: 8,
-            },
-            (ns, nd),
+        let moms = MomsSystemConfig::new(
+            self.topology,
+            self.pes,
+            self.channels,
+            4 * self.channels,
+            MomsConfig::paper_shared_bank().scaled(1, 16),
+            MomsConfig::paper_private_bank(false).scaled(1, 16),
         );
-        if self.cacheless {
-            rc.caches = CacheVariant::None;
+        RunConfig {
+            caches: self.caches,
+            execution: self.execution,
+            max_iterations: self.max_iterations,
+            devices: self.devices,
+            link: self.link,
+            recovery: self.recovery,
+            sim_threads: self.sim_threads,
+            ..RunConfig::new(moms, (ns, nd))
         }
-        rc.execution = self.execution;
-        rc.max_iterations = self.max_iterations;
-        rc.devices = self.devices;
-        rc.link = self.link;
-        rc.recovery = self.recovery;
-        rc.sim_threads = self.sim_threads;
-        rc
     }
 
     /// Runs `algo` on `g` on one device and returns the result.
@@ -298,15 +284,6 @@ impl Driver {
     }
 }
 
-/// Convenience re-export so `RunResult::gteps` reads naturally from the
-/// driver docs.
-impl RunResult {
-    /// Alias of [`RunResult::gteps`] for driver users.
-    pub fn gteps_at(&self, freq_mhz: f64) -> f64 {
-        self.gteps(freq_mhz)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,7 +320,10 @@ mod tests {
     #[test]
     fn cacheless_builder_strips_arrays() {
         let g = GraphSpec::rmat(8, 4).build(95);
-        let (cfg, _) = Driver::new().cacheless().run_config(&g).build();
+        let (cfg, _) = Driver::new()
+            .caches(CacheVariant::None)
+            .run_config(&g)
+            .build();
         assert!(cfg.moms.shared.cache.is_none());
         assert!(cfg.moms.private.cache.is_none());
     }

@@ -173,6 +173,13 @@ impl Default for LinkRetryConfig {
 }
 
 impl LinkRetryConfig {
+    /// Sets the initial retransmission timeout, raising `rto_cap` so the
+    /// backoff never starts above its cap.
+    pub fn set_rto(&mut self, rto: Cycle) {
+        self.rto = rto;
+        self.rto_cap = self.rto_cap.max(rto);
+    }
+
     /// Panics unless the protocol parameters are usable.
     pub fn validate(&self) {
         assert!(self.rto > 0, "link rto must be nonzero");
@@ -731,11 +738,6 @@ impl Fabric {
     /// Resolved host worker threads for the compute phase.
     pub fn sim_threads(&self) -> usize {
         self.sim_threads
-    }
-
-    /// The device-ownership map in effect.
-    pub fn device_map(&self) -> &DeviceMap {
-        &self.map
     }
 
     /// Runs to completion, reporting timeouts and stalls as structured

@@ -41,7 +41,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod driver;
 pub mod fabric;
-pub mod fuzz;
 pub mod iteration;
 pub mod pe;
 pub mod run_config;
@@ -58,4 +57,4 @@ pub use fabric::{
 };
 pub use pe::{Pe, PeCycleBreakdown};
 pub use run_config::{CacheVariant, RunConfig};
-pub use system::{MetricsSnapshot, PeStallBreakdown, RunError, RunResult, System};
+pub use system::{MetricsSnapshot, RunError, RunResult, System};

@@ -1,10 +1,12 @@
 //! The single configuration path for accelerator runs.
 //!
 //! Every front end — the [`Driver`](crate::Driver) builder, the experiment
-//! harness's sweep specs, ad-hoc tests — lowers its knobs into a
+//! harness's design points, ad-hoc tests — lowers its knobs into a
 //! [`RunConfig`] and calls [`RunConfig::build`]. That one method owns the
 //! invariants that used to be duplicated per caller: cache-variant
 //! stripping, PE BRAM sized to the destination interval, and validation.
+
+use std::str::FromStr;
 
 use dram::DramConfig;
 use graph::Partitioner;
@@ -30,14 +32,40 @@ pub enum CacheVariant {
 }
 
 impl CacheVariant {
-    /// Display label.
+    /// Stable short name, parsed back by [`FromStr`].
     pub fn name(self) -> &'static str {
+        match self {
+            CacheVariant::Full => "full",
+            CacheVariant::NoPrivate => "no-private",
+            CacheVariant::NoShared => "no-shared",
+            CacheVariant::None => "none",
+        }
+    }
+
+    /// Label in experiment tables and exports.
+    pub fn label(self) -> &'static str {
         match self {
             CacheVariant::Full => "priv+shared",
             CacheVariant::NoPrivate => "shared only",
             CacheVariant::NoShared => "priv only",
             CacheVariant::None => "no caches",
         }
+    }
+}
+
+impl FromStr for CacheVariant {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [
+            CacheVariant::Full,
+            CacheVariant::NoPrivate,
+            CacheVariant::NoShared,
+            CacheVariant::None,
+        ]
+        .into_iter()
+        .find(|c| c.name() == s)
+        .ok_or_else(|| format!("unknown cache variant {s:?}"))
     }
 }
 
@@ -181,19 +209,14 @@ mod tests {
     use moms::{MomsConfig, Topology};
 
     fn small_moms() -> MomsSystemConfig {
-        MomsSystemConfig {
-            topology: Topology::TwoLevel,
-            num_pes: 2,
-            num_channels: 2,
-            shared_banks: 4,
-            shared: MomsConfig::paper_shared_bank().scaled(1, 32),
-            private: MomsConfig::paper_private_bank(true).scaled(1, 32),
-            pe_slr: moms::system::default_pe_slrs(2),
-            channel_slr: moms::system::default_channel_slrs(2),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        }
+        MomsSystemConfig::new(
+            Topology::TwoLevel,
+            2,
+            2,
+            4,
+            MomsConfig::paper_shared_bank().scaled(1, 32),
+            MomsConfig::paper_private_bank(true).scaled(1, 32),
+        )
     }
 
     #[test]

@@ -126,21 +126,6 @@ impl Scheduler {
     }
 }
 
-/// Stall and utilisation breakdown summed over every PE (§V-B's "what
-/// throttles each algorithm" analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PeStallBreakdown {
-    /// Cycles with at least one gather retiring.
-    pub busy_cycles: u64,
-    /// Gather-pipeline stalls on read-after-write hazards (PageRank's
-    /// floating-point accumulate).
-    pub raw_stalls: u64,
-    /// Cycles the weighted-graph interface starved for free IDs.
-    pub id_starved: u64,
-    /// Requests refused by a full MOMS input port.
-    pub moms_backpressure: u64,
-}
-
 /// Structured metrics of one run: the MOMS, DRAM, and PE counters that
 /// experiments export, gathered once at the end of
 /// [`System::run_to_outcome`].
@@ -150,8 +135,6 @@ pub struct MetricsSnapshot {
     pub moms: MomsSnapshot,
     /// Per-channel DRAM counters, in channel order.
     pub dram: Vec<DramChannelSnapshot>,
-    /// Stall breakdown summed over PEs.
-    pub pe: PeStallBreakdown,
     /// Exhaustive per-cycle attribution summed over PEs; every PE-cycle
     /// of the run lands in exactly one class (`repro explain` renders
     /// this).
@@ -683,12 +666,6 @@ impl System {
         let metrics = MetricsSnapshot {
             moms: moms_snap,
             dram: self.mem.snapshot(),
-            pe: PeStallBreakdown {
-                busy_cycles: stats.get("busy_cycles"),
-                raw_stalls: stats.get("raw_stalls"),
-                id_starved: stats.get("id_starved"),
-                moms_backpressure: stats.get("moms_backpressure"),
-            },
             pe_cycles,
         };
         RunResult {

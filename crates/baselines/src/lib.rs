@@ -3,9 +3,6 @@
 //! * [`fabgraph`] — the analytic throughput model of FabGraph used by the
 //!   paper itself for Figs. 14/16 (edges always active, ideal DRAM
 //!   bandwidth, no RAW stalls, internal L1↔L2 bandwidth limit).
-//! * [`scratchpad`] — a ForeGraph-style statically tiled scratchpad
-//!   baseline: computes the DRAM traffic and time of tile-based execution,
-//!   the behaviour Fig. 1b motivates against.
 //! * [`cpu`] — multithreaded CPU reference implementations of PageRank,
 //!   SCC-style label propagation, and SSSP, standing in for Ligra/GraphMat
 //!   in the Fig. 16 comparison (see DESIGN.md for the substitution).
@@ -21,10 +18,8 @@ pub mod cpu;
 pub mod fabgraph;
 pub mod platforms;
 pub mod resources;
-pub mod scratchpad;
 
 pub use analytic::MomsAnalyticModel;
 pub use fabgraph::FabGraphModel;
 pub use platforms::Platform;
 pub use resources::{ResourceModel, ResourceUsage};
-pub use scratchpad::ScratchpadModel;

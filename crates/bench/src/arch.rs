@@ -9,9 +9,27 @@
 //! in the thousands system-wide (Little's-law bound, not graph-size
 //! bound) while cache arrays shrink with the node set.
 
+use accel::RunConfig;
 use algos::Algorithm;
 use baselines::ResourceModel;
 use moms::{CacheConfig, MomsConfig, MomsSystemConfig, Topology};
+
+/// DRAM channels of every experiment point except Fig. 14's sweep: the
+/// four DDR4 channels of the paper's f1 board.
+pub const F1_CHANNELS: usize = 4;
+
+/// Interval sizes `(Ns, Nd)` for a given extra shrink factor.
+///
+/// Scaled so that jobs stay 1–2 orders of magnitude more numerous than
+/// PEs, as §IV-E requires (the paper has 500–3,600 jobs for 16–24 PEs;
+/// quick-scope graphs have 15k–40k nodes, so Nd must shrink with them).
+pub fn intervals_for(shrink: u64) -> (u32, u32) {
+    if shrink >= 4 {
+        (2048, 256)
+    } else {
+        (4096, 512)
+    }
+}
 
 /// A named design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,19 +193,18 @@ impl ArchPoint {
         } else {
             self.banks.div_ceil(channels) * channels
         };
-        MomsSystemConfig {
-            topology: self.topology,
-            num_pes: self.pes,
-            num_channels: channels,
-            shared_banks: banks,
-            shared,
-            private,
-            pe_slr: moms::system::default_pe_slrs(self.pes),
-            channel_slr: moms::system::default_channel_slrs(channels),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        }
+        MomsSystemConfig::new(self.topology, self.pes, channels, banks, shared, private)
+    }
+
+    /// The run configuration of this design point on `channels` DRAM
+    /// channels with graphs shrunk by `shrink`: banks from
+    /// [`moms_config`](Self::moms_config), intervals from
+    /// [`intervals_for`], full caches and algorithm-default execution.
+    pub fn run_config(&self, channels: usize, shrink: u64) -> RunConfig {
+        RunConfig::new(
+            self.moms_config(channels, shrink.max(1) as usize, true),
+            intervals_for(shrink),
+        )
     }
 
     /// Estimated clock frequency in MHz for this design point at *paper*

@@ -40,7 +40,8 @@ use graph::CooGraph;
 use simkit::record::{Record, Value};
 use simkit::trace::TraceReport;
 
-use crate::runner::{prepare_graph, run_graph_outcome, Row, RunFailure, RunSpec};
+use crate::arch::ArchPoint;
+use crate::runner::{prepare_graph, run_graph_outcome, Row, RunFailure};
 
 /// One experiment point: what to run, on which graph, on which design.
 #[derive(Debug, Clone)]
@@ -49,8 +50,36 @@ pub struct PointSpec {
     pub bench: BenchmarkId,
     /// Algorithm (with source vertex where applicable).
     pub algo: Algorithm,
-    /// Architecture/channel/cache/preprocessing configuration.
-    pub spec: RunSpec,
+    /// Architecture design point (its label and clock estimate).
+    pub arch: ArchPoint,
+    /// Preprocessing variant of the graph.
+    pub pre: Preprocess,
+    /// Graph shrink factor on top of the default scale.
+    pub shrink: u64,
+    /// The resolved run: channels, caches, execution, iteration cap.
+    pub run: RunConfig,
+}
+
+impl PointSpec {
+    /// `algo` on `bench`, preprocessed with DBG + hashing and shrunk by
+    /// `shrink`, on `arch` with `channels` DRAM channels
+    /// ([`ArchPoint::run_config`]).
+    pub fn new(
+        bench: BenchmarkId,
+        algo: Algorithm,
+        arch: ArchPoint,
+        channels: usize,
+        shrink: u64,
+    ) -> Self {
+        PointSpec {
+            bench,
+            algo,
+            arch,
+            pre: Preprocess::DbgHash,
+            shrink,
+            run: arch.run_config(channels, shrink),
+        }
+    }
 }
 
 /// How a point ended.
@@ -136,16 +165,15 @@ impl PointResult {
                 Some(msg),
             ),
         };
-        let spec = &point.spec;
         PointResult {
             bench: point.bench.tag().to_owned(),
             algo: point.algo.name().to_owned(),
-            arch: spec.arch.name.to_owned(),
-            channels: spec.channels,
-            caches: spec.caches.name().to_owned(),
-            pre: spec.pre.name().to_owned(),
-            shrink: spec.shrink,
-            execution: spec.execution.name().to_owned(),
+            arch: point.arch.name.to_owned(),
+            channels: point.run.num_channels(),
+            caches: point.run.caches.label().to_owned(),
+            pre: point.pre.name().to_owned(),
+            shrink: point.shrink,
+            execution: point.run.execution.name().to_owned(),
             outcome,
             row,
             metrics,
@@ -254,12 +282,12 @@ impl Record for PointResult {
                     _ => Value::Null,
                 },
             ),
-            ("pe_busy_cycles", Value::from(m.map(|m| m.pe.busy_cycles))),
-            ("pe_raw_stalls", Value::from(m.map(|m| m.pe.raw_stalls))),
-            ("pe_id_starved", Value::from(m.map(|m| m.pe.id_starved))),
+            ("pe_busy_cycles", Value::from(row.map(|r| r.pe_busy_cycles))),
+            ("pe_raw_stalls", Value::from(row.map(|r| r.pe_raw_stalls))),
+            ("pe_id_starved", Value::from(row.map(|r| r.pe_id_starved))),
             (
                 "pe_moms_backpressure",
-                Value::from(m.map(|m| m.pe.moms_backpressure)),
+                Value::from(row.map(|r| r.pe_moms_backpressure)),
             ),
         ]
     }
@@ -333,15 +361,9 @@ impl EngineConfig {
         rc.trace = self.trace;
         rc.link.fault = self.link_fault;
         if let Some(rto) = self.link_retry {
-            rc.link.retry.rto = rto;
-            rc.link.retry.rto_cap = rc.link.retry.rto_cap.max(rto);
+            rc.link.retry.set_rto(rto);
         }
-        if self.checkpoint_interval > 0 {
-            rc.recovery = Some(RecoveryConfig {
-                checkpoint_interval: self.checkpoint_interval,
-                ..RecoveryConfig::default()
-            });
-        }
+        rc.recovery = RecoveryConfig::every(self.checkpoint_interval);
         rc.sim_threads = self.sim_threads;
     }
 
@@ -557,7 +579,7 @@ pub fn run_points(points: &[PointSpec], cfg: &EngineConfig) -> Vec<PointResult> 
                 "{}/{}/{}",
                 point.bench.tag(),
                 point.algo.name(),
-                point.spec.arch.name
+                point.arch.name
             );
             let mut p = progress.lock().unwrap();
             p.in_flight.push((i, label, Instant::now()));
@@ -593,11 +615,11 @@ fn run_one(point: &PointSpec, cache: &GraphCache, cfg: &EngineConfig) -> PointRe
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let g = cache.get((
             point.bench,
-            point.spec.pre,
-            point.spec.shrink,
+            point.pre,
+            point.shrink,
             point.algo.is_weighted(),
         ));
-        run_graph_outcome(&g, point.bench.tag(), point.algo, &point.spec, cfg)
+        run_graph_outcome(&g, point, cfg)
     }))
     .unwrap_or_else(|payload| Err(RunFailure::Failed(panic_message(payload.as_ref()))));
     PointResult::new(point, run)
@@ -606,19 +628,12 @@ fn run_one(point: &PointSpec, cache: &GraphCache, cfg: &EngineConfig) -> PointRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::ArchPoint;
 
     fn tiny_points() -> Vec<PointSpec> {
         let mut points = Vec::new();
         for arch in [ArchPoint::two_level_16_16(), ArchPoint::ALL[2]] {
             for bench in [BenchmarkId::Wt, BenchmarkId::R24] {
-                let mut spec = RunSpec::new(arch);
-                spec.shrink = 64;
-                points.push(PointSpec {
-                    bench,
-                    algo: Algorithm::Scc,
-                    spec,
-                });
+                points.push(PointSpec::new(bench, Algorithm::Scc, arch, 4, 64));
             }
         }
         points
@@ -689,5 +704,24 @@ mod tests {
         let csv = simkit::record::to_csv(&results);
         assert!(csv.starts_with("bench,algo,arch,"));
         assert_eq!(csv.lines().count(), 2);
+
+        // The PE columns are the run's own counters.
+        let p = &points[0];
+        let g = prepare_graph(p.bench, p.pre, p.shrink, false);
+        let (cfg, partitioner) = p.run.build();
+        let run = accel::System::new(&g, partitioner, p.algo, cfg)
+            .run_to_outcome(None)
+            .unwrap();
+        assert!(run.stats.get("busy_cycles") > 0);
+        let fields = results[0].fields();
+        for (column, counter) in [
+            ("pe_busy_cycles", "busy_cycles"),
+            ("pe_raw_stalls", "raw_stalls"),
+            ("pe_id_starved", "id_starved"),
+            ("pe_moms_backpressure", "moms_backpressure"),
+        ] {
+            let value = &fields.iter().find(|(n, _)| *n == column).unwrap().1;
+            assert_eq!(*value, Value::from(run.stats.get(counter)), "{column}");
+        }
     }
 }

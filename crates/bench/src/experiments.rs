@@ -11,14 +11,15 @@
 
 use std::fmt::Write as _;
 
+use accel::CacheVariant;
 use algos::Algorithm;
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::Preprocess;
 
-use crate::arch::ArchPoint;
+use crate::arch::{ArchPoint, F1_CHANNELS};
 use crate::engine::{self, EngineConfig, PointResult, PointSpec, Report};
 use crate::geomean;
-use crate::runner::{prepare_graph, CacheVariant, RunSpec};
+use crate::runner::prepare_graph;
 
 /// How much work an experiment invocation does.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +58,9 @@ impl Scope {
         }
     }
 
-    /// Algorithms evaluated throughout §V, with iteration caps.
+    /// Algorithms evaluated throughout §V, with iteration caps. PageRank
+    /// runs 2 iterations instead of 10: its throughput does not depend on
+    /// the iteration count, and the cap saves wall-clock.
     pub fn algos(&self) -> Vec<(Algorithm, Option<u32>)> {
         vec![
             (Algorithm::pagerank(), Some(2)),
@@ -65,12 +68,6 @@ impl Scope {
             (Algorithm::sssp(0), None),
         ]
     }
-}
-
-fn spec_for(arch: ArchPoint, scope: &Scope) -> RunSpec {
-    let mut s = RunSpec::new(arch);
-    s.shrink = scope.shrink;
-    s
 }
 
 /// The experiments `all` runs, in order.
@@ -126,9 +123,18 @@ pub fn run(name: &str, scope: Scope, eng: &EngineConfig) -> Option<Report> {
     })
 }
 
-/// A point of `algo` on `bench` with `spec`.
-fn point(bench: BenchmarkId, algo: Algorithm, spec: RunSpec) -> PointSpec {
-    PointSpec { bench, algo, spec }
+/// A point of `algo` on `bench` on `arch` with [`F1_CHANNELS`] at the
+/// scope's shrink, capped at `iters` iterations.
+fn point(
+    bench: BenchmarkId,
+    algo: Algorithm,
+    arch: ArchPoint,
+    scope: &Scope,
+    iters: Option<u32>,
+) -> PointSpec {
+    let mut p = PointSpec::new(bench, algo, arch, F1_CHANNELS, scope.shrink);
+    p.run.max_iterations = iters;
+    p
 }
 
 /// GTEPS of every completed point (failed and timed-out points drop out
@@ -283,10 +289,10 @@ pub mod fig12 {
         let mut points = Vec::new();
         for arch in scope.archs() {
             for b in scope.benches() {
-                let mut spec = spec_for(arch, &scope);
-                points.push(point(b, Algorithm::Scc, spec.clone()));
-                spec.caches = CacheVariant::None;
-                points.push(point(b, Algorithm::Scc, spec));
+                let mut p = point(b, Algorithm::Scc, arch, &scope, None);
+                points.push(p.clone());
+                p.run.caches = CacheVariant::None;
+                points.push(p);
             }
         }
         let results = engine::run_points(&points, eng);
@@ -305,7 +311,7 @@ pub mod fig12 {
             let _ = writeln!(
                 out,
                 "{:<16} {:<6} {} {} {} {}",
-                p.spec.arch.name,
+                p.arch.name,
                 p.bench.tag(),
                 hit(with, 10),
                 gteps_cell(with, 10),
@@ -334,11 +340,10 @@ pub mod fig13 {
         let arch = ArchPoint::ALL[4]; // 2lvl 18/16
         let mut points = Vec::new();
         for b in scope.benches() {
-            for p in Preprocess::ALL {
-                let mut spec = spec_for(arch, &scope);
-                spec.pre = p;
-                spec.max_iterations = Some(2);
-                points.push(point(b, Algorithm::pagerank(), spec));
+            for pre in Preprocess::ALL {
+                let mut p = point(b, Algorithm::pagerank(), arch, &scope, Some(2));
+                p.pre = pre;
+                points.push(p);
             }
         }
         let results = engine::run_points(&points, eng);
@@ -390,7 +395,7 @@ pub mod table3 {
         for b in scope.benches() {
             let g = b.build(scope.shrink);
             let t = Instant::now();
-            let (ns, nd) = crate::runner::intervals_for(scope.shrink);
+            let (ns, nd) = crate::arch::intervals_for(scope.shrink);
             let parts = Partitioner::new(ns, nd).partition(&g);
             let t_part = t.elapsed().as_secs_f64();
             std::hint::black_box(parts.total_edges());
@@ -424,10 +429,9 @@ pub mod fig14 {
         for (algo, iters) in scope.algos() {
             for b in scope.benches() {
                 for ch in CHANNELS {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.channels = ch;
-                    spec.max_iterations = iters;
-                    points.push(point(b, algo, spec));
+                    let mut p = PointSpec::new(b, algo, arch, ch, scope.shrink);
+                    p.run.max_iterations = iters;
+                    points.push(p);
                 }
             }
         }
@@ -501,9 +505,9 @@ pub mod fig15 {
         for arch in archs {
             for b in scope.benches() {
                 for caches in VARIANTS {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.caches = caches;
-                    points.push(point(b, Algorithm::Scc, spec));
+                    let mut p = point(b, Algorithm::Scc, arch, &scope, None);
+                    p.run.caches = caches;
+                    points.push(p);
                 }
             }
         }
@@ -519,7 +523,7 @@ pub mod fig15 {
             let _ = writeln!(out, "\n-- {} --", arch.name);
             let mut header = format!("{:<6}", "bench");
             for v in VARIANTS {
-                let _ = write!(header, " {:>12}", v.name());
+                let _ = write!(header, " {:>12}", v.label());
             }
             let _ = writeln!(out, "{header}");
             let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); VARIANTS.len()];
@@ -569,9 +573,7 @@ pub mod fig16 {
         let mut points = Vec::new();
         for (algo, iters) in scope.algos() {
             for b in scope.benches() {
-                let mut spec = spec_for(arch, &scope);
-                spec.max_iterations = iters;
-                points.push(point(b, algo, spec));
+                points.push(point(b, algo, arch, &scope, iters));
             }
         }
         let results = engine::run_points(&points, eng);
@@ -713,21 +715,16 @@ pub mod ablate {
     use moms::{MomsConfig, MomsSystemConfig, Topology};
 
     fn base_cfg() -> MomsSystemConfig {
-        MomsSystemConfig {
-            topology: Topology::TwoLevel,
-            num_pes: 8,
-            num_channels: 2,
-            shared_banks: 8,
-            shared: MomsConfig::paper_shared_bank()
+        MomsSystemConfig::new(
+            Topology::TwoLevel,
+            8,
+            2,
+            8,
+            MomsConfig::paper_shared_bank()
                 .scaled(1, 32)
                 .without_cache(),
-            private: MomsConfig::paper_private_bank(false).scaled(1, 32),
-            pe_slr: moms::system::default_pe_slrs(8),
-            channel_slr: moms::system::default_channel_slrs(2),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        }
+            MomsConfig::paper_private_bank(false).scaled(1, 32),
+        )
     }
 
     fn measure(cfg: MomsSystemConfig) -> (f64, f64) {
@@ -876,10 +873,10 @@ pub mod syncasync {
         let mut points = Vec::new();
         for algo in algos {
             for b in scope.benches() {
-                let mut spec = spec_for(arch, &scope);
-                points.push(point(b, algo, spec.clone()));
-                spec.execution = ExecutionMode::ForceSynchronous;
-                points.push(point(b, algo, spec));
+                let mut p = point(b, algo, arch, &scope, None);
+                points.push(p.clone());
+                p.run.execution = ExecutionMode::ForceSynchronous;
+                points.push(p);
             }
         }
         let results = engine::run_points(&points, eng);
@@ -931,11 +928,7 @@ pub mod related_work {
             (Algorithm::pagerank(), Some(2), BenchmarkId::R24),
         ]
         .into_iter()
-        .map(|(algo, iters, bench)| {
-            let mut spec = spec_for(arch, &scope);
-            spec.max_iterations = iters;
-            point(bench, algo, spec)
-        })
+        .map(|(algo, iters, bench)| point(bench, algo, arch, &scope, iters))
         .collect();
         let results = engine::run_points(&points, eng);
 
@@ -994,9 +987,7 @@ pub mod sweep {
         for (algo, iters) in scope.algos() {
             for b in scope.benches() {
                 for arch in scope.archs() {
-                    let mut spec = spec_for(arch, &scope);
-                    spec.max_iterations = iters;
-                    points.push(point(b, algo, spec));
+                    points.push(point(b, algo, arch, &scope, iters));
                 }
             }
         }
@@ -1138,11 +1129,9 @@ pub mod fabric {
     pub fn run(scope: Scope, eng: &EngineConfig) -> Result<Report<FabricPoint>, String> {
         let arch = ArchPoint::two_level_16_16();
         let bench = BenchmarkId::Wt;
-        let mut spec = spec_for(arch, &scope);
-        let g = prepare_graph(bench, spec.pre, spec.shrink, false);
+        let g = prepare_graph(bench, Preprocess::DbgHash, scope.shrink, false);
         let mut configs = Vec::new();
         for (algo, iters) in [(Algorithm::bfs(0), None), (Algorithm::pagerank(), Some(2))] {
-            spec.max_iterations = iters;
             for devices in [1usize, 2, 4, 8] {
                 for bw in [1u32, 4, 16] {
                     if devices == 1 && bw != 4 {
@@ -1154,7 +1143,8 @@ pub mod fabric {
                         &[LinkTopology::AllToAll]
                     };
                     for &topology in topologies {
-                        let mut rc = spec.run_config();
+                        let mut rc = arch.run_config(F1_CHANNELS, scope.shrink);
+                        rc.max_iterations = iters;
                         rc.devices = devices;
                         rc.link.bandwidth_words_per_cycle = bw;
                         rc.link.topology = topology;
@@ -1181,7 +1171,7 @@ pub mod fabric {
             );
             let mut r = run.map_err(|e| format!("{label}: {}", error_summary(&e)))?;
             take_trace(&mut report.traces, label, &mut r);
-            let freq = arch.frequency_mhz(spec.channels, algo);
+            let freq = arch.frequency_mhz(rc.num_channels(), algo);
             report.rows.push(FabricPoint {
                 bench: bench.tag().to_owned(),
                 algo: algo.name().to_owned(),
@@ -1371,8 +1361,8 @@ pub mod chaos_fabric {
     pub fn run(scope: Scope, eng: &EngineConfig) -> Result<Report<ChaosPoint>, String> {
         let arch = ArchPoint::two_level_16_16();
         let bench = BenchmarkId::Wt;
-        let spec = spec_for(arch, &scope);
-        let g = prepare_graph(bench, spec.pre, spec.shrink, false);
+        let g = prepare_graph(bench, Preprocess::DbgHash, scope.shrink, false);
+        let base = arch.run_config(F1_CHANNELS, scope.shrink);
         let bfs = Algorithm::bfs(0);
         let bfs_expect = algos::golden::run(&bfs, &g);
         // The black-hole rows run long PageRank on a fixed 512-node
@@ -1391,7 +1381,7 @@ pub mod chaos_fabric {
         let pr_expects = device_counts
             .iter()
             .map(|&devices| {
-                let mut rc = spec.run_config();
+                let mut rc = base.clone();
                 rc.devices = devices;
                 rc.max_iterations = pr_iters;
                 Fabric::new(&bh_graph, pr, &rc)
@@ -1412,7 +1402,7 @@ pub mod chaos_fabric {
         let mut cases = Vec::new();
         for (&devices, pr_expect) in device_counts.iter().zip(&pr_expects) {
             for &profile in MASKABLE {
-                let mut rc = spec.run_config();
+                let mut rc = base.clone();
                 rc.devices = devices;
                 eng.apply(&mut rc);
                 rc.link.fault = fault(profile.parse().expect("known profile"));
@@ -1429,7 +1419,7 @@ pub mod chaos_fabric {
             // Black-hole cannot be masked: the watchdog trips and the
             // checkpoint rollback (which resets the link, re-arming the
             // fault's grace window) carries the run to completion.
-            let mut rc = spec.run_config();
+            let mut rc = base.clone();
             rc.devices = devices;
             rc.max_iterations = pr_iters;
             eng.apply(&mut rc);

@@ -17,11 +17,12 @@ use std::fmt::Write as _;
 
 use accel::{Fabric, MetricsSnapshot, PeCycleBreakdown};
 use algos::Algorithm;
+use graph::reorder::Preprocess;
 
-use crate::arch::ArchPoint;
+use crate::arch::{ArchPoint, F1_CHANNELS};
 use crate::engine::{self, EngineConfig, Outcome, PointSpec, Report};
 use crate::experiments::Scope;
-use crate::runner::{prepare_graph, RunSpec};
+use crate::runner::prepare_graph;
 
 /// Renders the per-class PE-cycle table shared by the single-device and
 /// fabric attributions.
@@ -73,10 +74,9 @@ pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
     let mut points = Vec::new();
     for bench in scope.benches() {
         for (algo, max_iterations) in scope.algos() {
-            let mut spec = RunSpec::new(arch);
-            spec.shrink = scope.shrink;
-            spec.max_iterations = max_iterations;
-            points.push(PointSpec { bench, algo, spec });
+            let mut point = PointSpec::new(bench, algo, arch, F1_CHANNELS, scope.shrink);
+            point.run.max_iterations = max_iterations;
+            points.push(point);
         }
     }
     let results = engine::run_points(&points, eng);
@@ -109,19 +109,12 @@ pub fn run(scope: Scope, eng: &EngineConfig) -> Report {
 fn render_fabric(out: &mut String, scope: Scope, arch: ArchPoint, eng: &EngineConfig) {
     let bench = scope.benches()[0];
     let algo = Algorithm::pagerank();
-    let mut spec = RunSpec::new(arch);
-    spec.shrink = scope.shrink;
-    let g = prepare_graph(bench, spec.pre, spec.shrink, algo.is_weighted());
-    let mut rc = spec.run_config();
+    let g = prepare_graph(bench, Preprocess::DbgHash, scope.shrink, algo.is_weighted());
+    let mut rc = arch.run_config(F1_CHANNELS, scope.shrink);
     rc.max_iterations = Some(2);
     rc.devices = 4;
     eng.apply(&mut rc);
-    let label = format!(
-        "{}/{}/{} x4 devices",
-        bench.tag(),
-        algo.name(),
-        spec.arch.name
-    );
+    let label = format!("{}/{}/{} x4 devices", bench.tag(), algo.name(), arch.name);
     let r = match Fabric::new(&g, algo, &rc).run_to_outcome(eng.deadline()) {
         Ok(r) => r,
         Err(e) => {

@@ -2,10 +2,10 @@
 //! cases cross-checked through a differential oracle stack.
 //!
 //! Built on the generic framework in [`simkit::fuzz`] (seed scheduling,
-//! greedy shrinking, corpus line format) and the [`accel::fuzz`] bridge
-//! (knob application). This module owns the concrete case grammar, the
-//! oracle stack, the budgeted run loop, and the corpus files under
-//! `tests/fixtures/fuzz_corpus/`.
+//! greedy shrinking, corpus line format); a case's architecture and
+//! fabric knobs are an [`accel::Driver`]. This module owns the concrete
+//! case grammar, the oracle stack, the budgeted run loop, and the corpus
+//! files under `tests/fixtures/fuzz_corpus/`.
 //!
 //! # Case grammar
 //!
@@ -78,11 +78,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use accel::fuzz::{
-    cache_tag, execution_tag, parse_cache, parse_execution, parse_topology, topology_tag,
-    FuzzTarget,
+use accel::{
+    CacheVariant, Driver, ExecutionMode, Fabric, FabricError, LinkConfig, LinkTopology,
+    RecoveryConfig, RunError, RunResult, System,
 };
-use accel::{Fabric, FabricError, LinkTopology, RunError, RunResult, System};
 use algos::{golden, Algorithm};
 use graph::{CooGraph, GraphSpec};
 use moms::Topology;
@@ -264,7 +263,7 @@ pub struct FuzzCase {
     /// Algorithm (with source / iteration parameters).
     pub algo: Algorithm,
     /// Architecture and fabric knobs.
-    pub target: FuzzTarget,
+    pub driver: Driver,
     /// Optional graceful fault schedules.
     pub fault: FaultCase,
     /// Test-only corruption hook: when set, the single-device result
@@ -426,24 +425,24 @@ impl FuzzCase {
             line.push("wseed", ws);
         }
         line.push("algo", encode_algo(&self.algo));
-        let t = &self.target;
-        line.push("pes", t.pes);
-        line.push("channels", t.channels);
-        line.push("topo", topology_tag(t.topology));
-        line.push("caches", cache_tag(t.caches));
-        line.push("mode", execution_tag(t.execution));
-        if let Some(nd) = t.nd {
+        let d = &self.driver;
+        line.push("pes", d.pes);
+        line.push("channels", d.channels);
+        line.push("topo", d.topology.name());
+        line.push("caches", d.caches.name());
+        line.push("mode", d.execution.name());
+        if let Some(nd) = d.nd_override {
             line.push("nd", nd);
         }
-        line.push("devices", t.devices);
-        line.push("ltopo", t.link_topology.name());
-        line.push("lbw", t.link_bandwidth);
-        line.push("llat", t.link_latency);
-        if let Some(rto) = t.link_rto {
-            line.push("lrto", rto);
+        line.push("devices", d.devices);
+        line.push("ltopo", d.link.topology.name());
+        line.push("lbw", d.link.bandwidth_words_per_cycle);
+        line.push("llat", d.link.latency);
+        if d.link.retry != LinkConfig::default().retry {
+            line.push("lrto", d.link.retry.rto);
         }
-        line.push("ckpt", t.checkpoint_interval);
-        line.push("threads", t.sim_threads);
+        line.push("ckpt", d.recovery.map_or(0, |r| r.checkpoint_interval));
+        line.push("threads", d.sim_threads);
         if self.fault.dram.profile != FaultProfile::None {
             line.push("dfault", fault_tag(self.fault.dram));
             line.push("dseed", self.fault.dram.seed);
@@ -479,32 +478,33 @@ impl FuzzCase {
             },
         };
         let algo = decode_algo(kv.require("algo")?)?;
-        let defaults = FuzzTarget::default();
-        let target = FuzzTarget {
-            pes: kv.parsed_or("pes", defaults.pes)?,
-            channels: kv.parsed_or("channels", defaults.channels)?,
-            topology: parse_topology(kv.get("topo").unwrap_or("two-level"))?,
-            caches: parse_cache(kv.get("caches").unwrap_or("full"))?,
-            execution: parse_execution(kv.get("mode").unwrap_or("default"))?,
-            nd: match kv.get("nd") {
+        let d = Driver::new();
+        let mut driver = Driver {
+            pes: kv.parsed_or("pes", d.pes)?,
+            channels: kv.parsed_or("channels", d.channels)?,
+            topology: kv.parsed_or("topo", d.topology)?,
+            caches: kv.parsed_or("caches", d.caches)?,
+            execution: kv.parsed_or("mode", d.execution)?,
+            nd_override: match kv.get("nd") {
                 Some(_) => Some(kv.parsed("nd")?),
                 None => None,
             },
-            devices: kv.parsed_or("devices", 1)?,
-            link_topology: kv
-                .get("ltopo")
-                .unwrap_or("all-to-all")
-                .parse::<LinkTopology>()
-                .map_err(|e| format!("bad ltopo: {e}"))?,
-            link_bandwidth: kv.parsed_or("lbw", defaults.link_bandwidth)?,
-            link_latency: kv.parsed_or("llat", defaults.link_latency)?,
-            link_rto: match kv.get("lrto") {
-                Some(_) => Some(kv.parsed("lrto")?),
-                None => None,
+            devices: kv.parsed_or("devices", d.devices)?,
+            link: LinkConfig {
+                topology: kv.parsed_or("ltopo", d.link.topology)?,
+                bandwidth_words_per_cycle: kv.parsed_or("lbw", d.link.bandwidth_words_per_cycle)?,
+                latency: kv.parsed_or("llat", d.link.latency)?,
+                ..d.link
             },
-            checkpoint_interval: kv.parsed_or("ckpt", 0)?,
+            recovery: RecoveryConfig::every(kv.parsed_or("ckpt", 0)?),
+            // Not the driver's auto default (0): a line without the key
+            // runs the sequential path.
             sim_threads: kv.parsed_or("threads", 1)?,
+            ..d
         };
+        if kv.get("lrto").is_some() {
+            driver.link.retry.set_rto(kv.parsed("lrto")?);
+        }
         let parse_fault = |fkey: &str, skey: &str| -> Result<FaultConfig, String> {
             match kv.get(fkey) {
                 None => Ok(FaultConfig::default()),
@@ -517,7 +517,7 @@ impl FuzzCase {
         Ok(FuzzCase {
             graph,
             algo,
-            target,
+            driver,
             fault: FaultCase {
                 dram: parse_fault("dfault", "dseed")?,
                 link: parse_fault("lfault", "lseed")?,
@@ -575,46 +575,51 @@ pub fn sample_case(master: u64, index: u64, corrupt: bool) -> FuzzCase {
     } else {
         1
     };
-    let target = FuzzTarget {
+    // Fields are sampled in the order written: the draw order fixes the
+    // case sequence of every seed.
+    let mut driver = Driver {
         pes: [1, 2, 4][rng.next_below(3) as usize],
         channels: [1, 2][rng.next_below(2) as usize],
         topology: [Topology::Shared, Topology::Private, Topology::TwoLevel]
             [rng.next_below(3) as usize],
         caches: if rng.chance(0.7) {
-            accel::CacheVariant::Full
+            CacheVariant::Full
         } else {
             [
-                accel::CacheVariant::NoPrivate,
-                accel::CacheVariant::NoShared,
-                accel::CacheVariant::None,
+                CacheVariant::NoPrivate,
+                CacheVariant::NoShared,
+                CacheVariant::None,
             ][rng.next_below(3) as usize]
         },
         execution: if rng.chance(0.25) {
-            accel::ExecutionMode::ForceSynchronous
+            ExecutionMode::ForceSynchronous
         } else {
-            accel::ExecutionMode::AlgorithmDefault
+            ExecutionMode::AlgorithmDefault
         },
-        nd: rng
+        nd_override: rng
             .chance(0.25)
             .then(|| [64u32, 128, 256][rng.next_below(3) as usize]),
         devices,
-        link_topology: if rng.chance(0.5) {
-            LinkTopology::AllToAll
-        } else {
-            LinkTopology::Ring
-        },
-        link_bandwidth: [1, 4, 16][rng.next_below(3) as usize],
-        link_latency: [1, 32, 128][rng.next_below(3) as usize],
-        link_rto: rng
-            .chance(0.2)
-            .then(|| [256u64, 1024][rng.next_below(2) as usize]),
-        checkpoint_interval: if devices > 1 && rng.chance(0.3) {
-            1 + rng.next_below(2) as u32
-        } else {
-            0
+        link: LinkConfig {
+            topology: if rng.chance(0.5) {
+                LinkTopology::AllToAll
+            } else {
+                LinkTopology::Ring
+            },
+            bandwidth_words_per_cycle: [1, 4, 16][rng.next_below(3) as usize],
+            latency: [1, 32, 128][rng.next_below(3) as usize],
+            ..LinkConfig::default()
         },
         sim_threads,
+        ..Driver::new()
     };
+    if rng.chance(0.2) {
+        let rto = [256u64, 1024][rng.next_below(2) as usize];
+        driver.link.retry.set_rto(rto);
+    }
+    if devices > 1 && rng.chance(0.3) {
+        driver.recovery = RecoveryConfig::every(1 + rng.next_below(2) as u32);
+    }
 
     let dram = if rng.chance(0.35) {
         FaultConfig {
@@ -642,7 +647,7 @@ pub fn sample_case(master: u64, index: u64, corrupt: bool) -> FuzzCase {
     FuzzCase {
         graph: GraphCase { kind, gseed, wseed },
         algo,
-        target,
+        driver,
         fault: FaultCase { dram, link },
         corrupt,
     }
@@ -813,15 +818,16 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
     let fail =
         |oracle: &'static str, detail: String| CaseOutcome::Fail(OracleFailure { oracle, detail });
     let g = case.graph.build_for(&case.algo);
-    let n = g.num_nodes();
     let expect = golden::run(&case.algo, &g);
     let mut work = 0u64;
 
     // Single-device reference run (always; it anchors every other
     // oracle and is where the corruption hook lands).
-    let mut single = case.target.clone();
-    single.devices = 1;
-    single.sim_threads = 1;
+    let single = Driver {
+        devices: 1,
+        sim_threads: 1,
+        ..case.driver.clone()
+    };
     let mut rc = single.run_config(&g);
     let (cfg, partitioner) = rc.build();
     let sys = match System::new(&g, partitioner, case.algo, cfg).run_to_outcome(Some(deadline)) {
@@ -854,7 +860,7 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
         if let Some(detail) = values_mismatch(&case.algo, &observed, &expect) {
             return fail("system-vs-golden", detail);
         }
-    } else if case.corrupt && case.target.devices == 1 {
+    } else if case.corrupt && case.driver.devices == 1 {
         // The hook must stay observable even in the skipped corner, or
         // shrinking could escape into it.
         if observed != sys.values {
@@ -937,10 +943,8 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
     }
 
     // Fabric oracles: only when the case shards across devices.
-    if case.target.devices > 1 {
-        let mut fab_target = case.target.clone();
-        fab_target.sim_threads = 1;
-        let rc = fab_target.run_config(&g);
+    if case.driver.devices > 1 {
+        let rc = case.driver.clone().sim_threads(1).run_config(&g);
         let clean = match Fabric::new(&g, case.algo, &rc).run_to_outcome(Some(deadline)) {
             Ok(r) => r,
             Err(FabricError::TimedOut) => return CaseOutcome::TimedOut,
@@ -961,9 +965,9 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
         // Oracle 5: sim-threads byte-identity over the full Debug
         // rendering (values, stats, breakdowns, link counters,
         // recovery report, trace stream).
-        if case.target.sim_threads > 1 {
+        if case.driver.sim_threads > 1 {
             let mut rc_n = rc.clone();
-            rc_n.sim_threads = case.target.sim_threads;
+            rc_n.sim_threads = case.driver.sim_threads;
             let threaded = match Fabric::new(&g, case.algo, &rc_n).run_to_outcome(Some(deadline)) {
                 Ok(r) => r,
                 Err(FabricError::TimedOut) => return CaseOutcome::TimedOut,
@@ -975,7 +979,7 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
                     "threads-identity",
                     format!(
                         "sim-threads {} diverged from sequential at rendered byte {at}",
-                        case.target.sim_threads
+                        case.driver.sim_threads
                     ),
                 );
             }
@@ -1030,7 +1034,6 @@ fn run_oracles(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
         }
     }
 
-    let _ = n;
     CaseOutcome::Pass { work }
 }
 
@@ -1075,6 +1078,8 @@ pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         out.push(c);
     };
 
+    let d = Driver::new();
+
     // Fault schedule first: a case that still fails without faults is
     // a much stronger repro.
     if case.fault.any() {
@@ -1089,28 +1094,28 @@ pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
 
     // Fabric collapse: fewer devices and threads shrink both the config
     // and every subsequent oracle evaluation's cost.
-    if case.target.devices > 1 {
+    if case.driver.devices > 1 {
         with(&|c| {
-            c.target.devices = 1;
-            c.target.sim_threads = 1;
+            c.driver.devices = 1;
+            c.driver.sim_threads = 1;
             c.fault.link = FaultConfig::default();
         });
         with(&|c| {
-            c.target.devices /= 2;
-            c.target.sim_threads = c.target.sim_threads.min(c.target.devices);
+            c.driver.devices /= 2;
+            c.driver.sim_threads = c.driver.sim_threads.min(c.driver.devices);
         });
     }
-    if case.target.sim_threads > 1 {
-        with(&|c| c.target.sim_threads = 1);
+    if case.driver.sim_threads > 1 {
+        with(&|c| c.driver.sim_threads = 1);
     }
-    if case.target.checkpoint_interval > 0 {
-        with(&|c| c.target.checkpoint_interval = 0);
+    if case.driver.recovery.is_some() {
+        with(&|c| c.driver.recovery = None);
     }
-    if case.target.link_rto.is_some() {
-        with(&|c| c.target.link_rto = None);
+    if case.driver.link.retry != d.link.retry {
+        with(&|c| c.driver.link.retry = d.link.retry);
     }
-    if case.target.link_topology != LinkTopology::AllToAll {
-        with(&|c| c.target.link_topology = LinkTopology::AllToAll);
+    if case.driver.link.topology != d.link.topology {
+        with(&|c| c.driver.link.topology = d.link.topology);
     }
 
     // Graph: convert to an explicit list once, then halve.
@@ -1220,24 +1225,23 @@ pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     }
 
     // Architecture reset, toward the defaults.
-    let d = FuzzTarget::default();
-    if case.target.pes != 1 {
-        with(&|c| c.target.pes = 1);
+    if case.driver.pes != 1 {
+        with(&|c| c.driver.pes = 1);
     }
-    if case.target.channels != 1 {
-        with(&|c| c.target.channels = 1);
+    if case.driver.channels != 1 {
+        with(&|c| c.driver.channels = 1);
     }
-    if case.target.caches != d.caches {
-        with(&move |c| c.target.caches = d.caches);
+    if case.driver.caches != d.caches {
+        with(&|c| c.driver.caches = d.caches);
     }
-    if case.target.topology != d.topology {
-        with(&move |c| c.target.topology = d.topology);
+    if case.driver.topology != d.topology {
+        with(&|c| c.driver.topology = d.topology);
     }
-    if case.target.execution != d.execution {
-        with(&move |c| c.target.execution = d.execution);
+    if case.driver.execution != d.execution {
+        with(&|c| c.driver.execution = d.execution);
     }
-    if case.target.nd.is_some() {
-        with(&|c| c.target.nd = None);
+    if case.driver.nd_override.is_some() {
+        with(&|c| c.driver.nd_override = None);
     }
 
     out
@@ -1501,6 +1505,85 @@ mod tests {
     }
 
     #[test]
+    fn knobs_flow_through_to_the_run_config() {
+        let case = FuzzCase::decode(
+            "v=1 graph=rmat:6:4 gseed=3 algo=scc pes=2 channels=1 topo=shared \
+             caches=no-shared mode=sync nd=128 devices=4 ltopo=ring lbw=1 llat=96 lrto=777 \
+             ckpt=2 threads=2",
+        )
+        .unwrap();
+        let rc = case.driver.run_config(&case.graph.build_for(&case.algo));
+        assert_eq!(rc.moms.num_pes, 2);
+        assert_eq!(rc.moms.num_channels, 1);
+        assert_eq!(rc.moms.topology, Topology::Shared);
+        assert_eq!(rc.caches, CacheVariant::NoShared);
+        assert_eq!(rc.execution, ExecutionMode::ForceSynchronous);
+        assert_eq!(rc.intervals.1, 128);
+        assert_eq!(rc.devices, 4);
+        assert_eq!(rc.link.topology, LinkTopology::Ring);
+        assert_eq!(rc.link.bandwidth_words_per_cycle, 1);
+        assert_eq!(rc.link.latency, 96);
+        assert_eq!(rc.link.retry.rto, 777);
+        assert_eq!(rc.recovery.unwrap().checkpoint_interval, 2);
+        assert_eq!(rc.sim_threads, 2);
+    }
+
+    #[test]
+    fn default_target_matches_default_driver() {
+        // Absent keys take the driver's defaults, except `threads`: it
+        // stays 1, so committed corpus lines keep their meaning.
+        let case = FuzzCase::decode("v=1 graph=rmat:6:4 gseed=3 algo=scc").unwrap();
+        assert_eq!(case.driver, Driver::new().sim_threads(1));
+    }
+
+    #[test]
+    fn tags_roundtrip() {
+        for t in [Topology::Shared, Topology::Private, Topology::TwoLevel] {
+            assert_eq!(t.name().parse(), Ok(t));
+        }
+        for c in [
+            CacheVariant::Full,
+            CacheVariant::NoPrivate,
+            CacheVariant::NoShared,
+            CacheVariant::None,
+        ] {
+            assert_eq!(c.name().parse(), Ok(c));
+        }
+        for e in [
+            ExecutionMode::AlgorithmDefault,
+            ExecutionMode::ForceSynchronous,
+        ] {
+            assert_eq!(e.name().parse(), Ok(e));
+        }
+        for l in [LinkTopology::AllToAll, LinkTopology::Ring] {
+            assert_eq!(l.name().parse(), Ok(l));
+        }
+        assert!("mesh".parse::<Topology>().is_err());
+        assert!("half".parse::<CacheVariant>().is_err());
+        assert!("async".parse::<ExecutionMode>().is_err());
+        assert!("star".parse::<LinkTopology>().is_err());
+        assert!(FuzzCase::decode("v=1 graph=empty algo=scc caches=half").is_err());
+    }
+
+    #[test]
+    fn a_sampled_target_still_computes_correct_results() {
+        // A sampled ring fabric, fault schedule stripped, passes every
+        // oracle.
+        let case = (0..)
+            .map(|i| sample_case(17, i, false))
+            .find(|c| c.driver.devices > 1 && c.driver.link.topology == LinkTopology::Ring)
+            .expect("the sampler draws ring fabrics");
+        let case = FuzzCase {
+            fault: FaultCase::default(),
+            ..case
+        };
+        match check_case(&case, &quick_opts()) {
+            CaseOutcome::Pass { work } => assert!(work > 0),
+            other => panic!("{}: {other:?}", case.encode()),
+        }
+    }
+
+    #[test]
     fn sampling_is_deterministic_and_varied() {
         for i in 0..16 {
             assert_eq!(sample_case(3, i, false), sample_case(3, i, false));
@@ -1547,11 +1630,7 @@ mod tests {
                 wseed: None,
             },
             algo: Algorithm::Bfs { source: 0 },
-            target: FuzzTarget {
-                devices: 2,
-                sim_threads: 2,
-                ..FuzzTarget::default()
-            },
+            driver: Driver::new().devices(2).sim_threads(2),
             fault: FaultCase {
                 dram: FaultConfig::default(),
                 link: FaultConfig {
@@ -1601,7 +1680,7 @@ mod tests {
         // structural reduction: the shrinker must reach a tiny graph.
         let n = replayed.graph.num_nodes();
         assert!(n <= 8, "shrink left {n} nodes (failure: {failure:?})");
-        assert_eq!(replayed.target.devices, 1, "shrink left a fabric case");
+        assert_eq!(replayed.driver.devices, 1, "shrink left a fabric case");
         assert!(!replayed.fault.any(), "shrink left a fault schedule");
     }
 

@@ -14,12 +14,11 @@ pub mod engine;
 pub mod experiments;
 pub mod explain;
 pub mod fuzz;
-pub mod microbench;
 pub mod runner;
 
 pub use arch::ArchPoint;
 pub use engine::{EngineConfig, Outcome, PointResult, PointSpec, Report};
-pub use runner::{prepare_graph, run_graph_outcome, CacheVariant, Row, RunFailure, RunSpec};
+pub use runner::{prepare_graph, run_graph_outcome, Row, RunFailure};
 
 /// Geometric mean of positive values; 0 for an empty slice.
 pub fn geomean(xs: &[f64]) -> f64 {

@@ -1,80 +1,13 @@
-//! Runs one (benchmark, algorithm, architecture) point through the
-//! simulator and reports a result row.
+//! Runs one experiment point through the simulator and reports a result
+//! row.
 
-use accel::{RunConfig, System};
-use algos::Algorithm;
+use accel::System;
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 use graph::CooGraph;
 use simkit::trace::TraceReport;
 
-use crate::arch::ArchPoint;
-use crate::engine::EngineConfig;
-
-pub use accel::CacheVariant;
-
-/// Interval sizes `(Ns, Nd)` for a given extra shrink factor.
-///
-/// Scaled so that jobs stay 1–2 orders of magnitude more numerous than
-/// PEs, as §IV-E requires (the paper has 500–3,600 jobs for 16–24 PEs;
-/// quick-scope graphs have 15k–40k nodes, so Nd must shrink with them).
-pub fn intervals_for(shrink: u64) -> (u32, u32) {
-    if shrink >= 4 {
-        (2048, 256)
-    } else {
-        (4096, 512)
-    }
-}
-
-/// Everything needed to run one experiment point.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Architecture design point.
-    pub arch: ArchPoint,
-    /// DRAM channels.
-    pub channels: usize,
-    /// Preprocessing variant.
-    pub pre: Preprocess,
-    /// Graph shrink factor on top of the default scale.
-    pub shrink: u64,
-    /// Which cache arrays stay enabled (Fig. 12/15).
-    pub caches: CacheVariant,
-    /// Cap iterations (PageRank throughput is iteration-independent, so
-    /// experiments run 2 instead of 10 to save wall-clock).
-    pub max_iterations: Option<u32>,
-    /// Synchronous/asynchronous execution control.
-    pub execution: accel::ExecutionMode,
-}
-
-impl RunSpec {
-    /// Default spec for an architecture at 4 channels.
-    pub fn new(arch: ArchPoint) -> Self {
-        RunSpec {
-            arch,
-            channels: 4,
-            pre: Preprocess::DbgHash,
-            shrink: 4,
-            caches: CacheVariant::Full,
-            max_iterations: None,
-            execution: accel::ExecutionMode::AlgorithmDefault,
-        }
-    }
-
-    /// Lowers this spec into the shared [`RunConfig`] path (the same one
-    /// `accel::Driver` uses), which owns cache stripping, PE BRAM sizing,
-    /// and validation.
-    pub fn run_config(&self) -> RunConfig {
-        let mut rc = RunConfig::new(
-            self.arch
-                .moms_config(self.channels, self.shrink.max(1) as usize, true),
-            intervals_for(self.shrink),
-        );
-        rc.caches = self.caches;
-        rc.execution = self.execution;
-        rc.max_iterations = self.max_iterations;
-        rc
-    }
-}
+use crate::engine::{EngineConfig, PointSpec};
 
 /// One result row of an experiment table.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,6 +32,15 @@ pub struct Row {
     pub hit_rate: f64,
     /// DRAM lines fetched by the MOMS (irregular-read traffic).
     pub moms_dram_lines: u64,
+    /// PE cycles with at least one gather retiring, summed over PEs.
+    pub pe_busy_cycles: u64,
+    /// Gather-pipeline stalls on read-after-write hazards (PageRank's
+    /// floating-point accumulate).
+    pub pe_raw_stalls: u64,
+    /// PE cycles the weighted-graph interface starved for free IDs.
+    pub pe_id_starved: u64,
+    /// PE requests refused by a full MOMS input port.
+    pub pe_moms_backpressure: u64,
 }
 
 /// Builds the preprocessed graph for a benchmark.
@@ -121,7 +63,7 @@ pub enum RunFailure {
     Failed(String),
 }
 
-/// Runs one point on a prebuilt graph with the run-level flags of `eng`
+/// Runs `point` on a prebuilt graph with the run-level flags of `eng`
 /// applied (faults, watchdog, tracing, and `eng.timeout` as a wall-clock
 /// deadline from now). Returns the table row, the run's structured
 /// metrics and its trace, or a [`RunFailure`] describing why the point
@@ -133,14 +75,13 @@ pub enum RunFailure {
 /// stderr.
 pub fn run_graph_outcome(
     g: &CooGraph,
-    bench_tag: &str,
-    algo: Algorithm,
-    spec: &RunSpec,
+    point: &PointSpec,
     eng: &EngineConfig,
 ) -> Result<(Row, accel::MetricsSnapshot, TraceReport), RunFailure> {
     let deadline = eng.deadline();
+    let (bench, algo, arch) = (point.bench.tag(), point.algo, point.arch);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut rc = spec.run_config();
+        let mut rc = point.run.clone();
         eng.apply(&mut rc);
         let (cfg, partitioner) = rc.build();
         let mut sys = System::new(g, partitioner, algo, cfg);
@@ -148,24 +89,29 @@ pub fn run_graph_outcome(
     }));
     match outcome {
         Ok(Ok(result)) => {
-            let freq = spec.arch.frequency_mhz(spec.channels, &algo);
+            let freq = arch.frequency_mhz(point.run.num_channels(), &algo);
+            let stat = |name| result.stats.get(name);
             let row = Row {
-                bench: bench_tag.to_owned(),
+                bench: bench.to_owned(),
                 algo: algo.name().to_owned(),
-                arch: spec.arch.name.to_owned(),
+                arch: arch.name.to_owned(),
                 cycles: result.cycles,
                 iterations: result.iterations,
                 edges: result.edges_processed,
                 freq_mhz: freq,
                 gteps: result.gteps(freq),
                 hit_rate: result.cache_hit_rate,
-                moms_dram_lines: result.stats.get("dram_line_requests"),
+                moms_dram_lines: stat("dram_line_requests"),
+                pe_busy_cycles: stat("busy_cycles"),
+                pe_raw_stalls: stat("raw_stalls"),
+                pe_id_starved: stat("id_starved"),
+                pe_moms_backpressure: stat("moms_backpressure"),
             };
             Ok((row, result.metrics, result.trace))
         }
         Ok(Err(accel::RunError::TimedOut)) => Err(RunFailure::TimedOut),
         Ok(Err(accel::RunError::Stalled(snap))) => {
-            eprintln!("[{bench_tag}/{}/{}] {snap}", algo.name(), spec.arch.name);
+            eprintln!("[{bench}/{}/{}] {snap}", algo.name(), arch.name);
             Err(RunFailure::Failed(format!(
                 "watchdog: no forward progress for {} cycles (threshold {})",
                 snap.cycle.saturating_sub(snap.last_progress),
@@ -181,21 +127,22 @@ pub fn run_graph_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchPoint;
+    use algos::Algorithm;
+
+    fn run_point(point: &PointSpec) -> Row {
+        let g = prepare_graph(point.bench, point.pre, point.shrink, false);
+        let (row, _, trace) = run_graph_outcome(&g, point, &EngineConfig::default())
+            .expect("fault-free point completes");
+        assert!(trace.is_empty(), "tracing is off by default");
+        row
+    }
 
     #[test]
     fn smoke_run_point() {
-        let mut spec = RunSpec::new(ArchPoint::two_level_16_16());
-        spec.shrink = 32;
-        let g = prepare_graph(BenchmarkId::Wt, spec.pre, spec.shrink, false);
-        let (row, _, trace) = run_graph_outcome(
-            &g,
-            BenchmarkId::Wt.tag(),
-            Algorithm::Scc,
-            &spec,
-            &EngineConfig::default(),
-        )
-        .expect("fault-free point completes");
-        assert!(trace.is_empty(), "tracing is off by default");
+        let arch = ArchPoint::two_level_16_16();
+        let point = PointSpec::new(BenchmarkId::Wt, Algorithm::Scc, arch, 4, 32);
+        let row = run_point(&point);
         assert!(row.gteps > 0.0);
         assert!(row.cycles > 0);
         assert_eq!(row.bench, "WT");
@@ -204,19 +151,10 @@ mod tests {
 
     #[test]
     fn cacheless_spec_reports_zero_hit_rate() {
-        let mut spec = RunSpec::new(ArchPoint::two_level_20_8());
-        spec.shrink = 32;
-        spec.caches = CacheVariant::None;
-        let g = prepare_graph(BenchmarkId::R24, spec.pre, spec.shrink, false);
-        let (row, _, _) = run_graph_outcome(
-            &g,
-            BenchmarkId::R24.tag(),
-            Algorithm::Scc,
-            &spec,
-            &EngineConfig::default(),
-        )
-        .expect("fault-free point completes");
-        assert_eq!(row.hit_rate, 0.0);
+        let arch = ArchPoint::two_level_20_8();
+        let mut point = PointSpec::new(BenchmarkId::R24, Algorithm::Scc, arch, 4, 32);
+        point.run.caches = accel::CacheVariant::None;
+        assert_eq!(run_point(&point).hit_rate, 0.0);
     }
 
     #[test]

@@ -114,15 +114,6 @@ impl DramChannelSnapshot {
         self.bytes() as f64 / seconds / 1e9
     }
 
-    /// Fraction of `cycles` the data bus was busy; 0 when no time elapsed.
-    pub fn bus_utilization(&self, cycles: Cycle) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.bus_busy_cycles as f64 / cycles as f64
-        }
-    }
-
     /// Element-wise sum, for aggregating across channels.
     pub fn accumulate(&mut self, other: &DramChannelSnapshot) {
         self.row_hits += other.row_hits;

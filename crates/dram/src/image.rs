@@ -117,16 +117,6 @@ impl MemImage {
         let a = addr as usize;
         &self.bytes[a..a + len]
     }
-
-    /// Copies `src` into the image at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the image size.
-    pub fn write_bytes(&mut self, addr: u64, src: &[u8]) {
-        let a = addr as usize;
-        self.bytes[a..a + src.len()].copy_from_slice(src);
-    }
 }
 
 #[cfg(test)]

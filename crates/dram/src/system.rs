@@ -146,11 +146,6 @@ impl MemorySystem {
         s
     }
 
-    /// Per-channel statistics.
-    pub fn channel_stats(&self, ch: usize) -> Stats {
-        self.channels[ch].stats()
-    }
-
     /// Point-in-time view of every channel's counters, in channel order.
     pub fn snapshot(&self) -> Vec<DramChannelSnapshot> {
         self.channels.iter().map(|c| c.snapshot()).collect()

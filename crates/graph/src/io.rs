@@ -1,6 +1,5 @@
 //! Graph serialization: the plain edge-list text format used by SNAP /
-//! KONECT downloads (the paper's benchmark sources), plus a compact
-//! binary COO format for fast reload.
+//! KONECT downloads (the paper's benchmark sources).
 //!
 //! Text format: one `src dst [weight]` triple per line; `#` or `%`
 //! comment lines are skipped (SNAP and KONECT headers respectively).
@@ -11,8 +10,8 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::coo::{CooGraph, NodeId};
 
-/// Errors produced while reading a graph file (text edge list or binary
-/// COO), each carrying enough context to locate the corruption.
+/// Errors produced while reading an edge list, each carrying enough
+/// context to locate the corruption.
 #[derive(Debug)]
 pub enum GraphIoError {
     /// Underlying I/O failure.
@@ -28,26 +27,7 @@ pub enum GraphIoError {
     Empty,
     /// Some edges carried weights and others did not.
     MixedWeights,
-    /// The binary file does not start with the `MOMSCOO1` magic.
-    BadMagic,
-    /// The file ended before the named structure was complete.
-    Truncated {
-        /// What was being read when the input ran out.
-        what: &'static str,
-    },
-    /// A binary edge references a node outside the declared node count.
-    EdgeOutOfRange {
-        /// 0-based edge record index.
-        index: usize,
-        /// The offending endpoint.
-        node: u32,
-        /// The declared node count.
-        nodes: u32,
-    },
 }
-
-/// Former name of [`GraphIoError`], kept for source compatibility.
-pub type ParseGraphError = GraphIoError;
 
 impl std::fmt::Display for GraphIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -59,16 +39,6 @@ impl std::fmt::Display for GraphIoError {
             GraphIoError::Empty => write!(f, "edge list contains no edges"),
             GraphIoError::MixedWeights => {
                 write!(f, "some edges have weights and others do not")
-            }
-            GraphIoError::BadMagic => write!(f, "not a MOMSCOO1 file"),
-            GraphIoError::Truncated { what } => {
-                write!(f, "file truncated while reading {what}")
-            }
-            GraphIoError::EdgeOutOfRange { index, node, nodes } => {
-                write!(
-                    f,
-                    "edge record {index} references node {node} outside 0..{nodes}"
-                )
             }
         }
     }
@@ -193,97 +163,6 @@ pub fn write_edge_list<W: Write>(g: &CooGraph, writer: W) -> std::io::Result<()>
     w.flush()
 }
 
-/// Magic bytes of the binary COO format.
-const BIN_MAGIC: &[u8; 8] = b"MOMSCOO1";
-
-/// Writes `g` in the compact binary COO format (little endian):
-/// magic, node count, edge count, weighted flag, then `(src, dst[, w])`
-/// records.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the writer.
-pub fn write_binary<W: Write>(g: &CooGraph, writer: W) -> std::io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BIN_MAGIC)?;
-    w.write_all(&g.num_nodes().to_le_bytes())?;
-    w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    w.write_all(&[g.is_weighted() as u8])?;
-    for i in 0..g.num_edges() {
-        let (s, d, wt) = g.edge(i);
-        w.write_all(&s.to_le_bytes())?;
-        w.write_all(&d.to_le_bytes())?;
-        if g.is_weighted() {
-            w.write_all(&wt.to_le_bytes())?;
-        }
-    }
-    w.flush()
-}
-
-/// Reads the binary COO format written by [`write_binary`].
-///
-/// # Errors
-///
-/// Returns [`GraphIoError::BadMagic`] on a foreign file,
-/// [`GraphIoError::Truncated`] when the input ends mid-structure,
-/// [`GraphIoError::EdgeOutOfRange`] when an edge references a node
-/// outside the declared count, and [`GraphIoError::Io`] on any other
-/// read failure.
-pub fn read_binary<R: Read>(reader: R) -> Result<CooGraph, GraphIoError> {
-    let mut r = BufReader::new(reader);
-    let read = |r: &mut BufReader<R>, buf: &mut [u8], what: &'static str| match r.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            Err(GraphIoError::Truncated { what })
-        }
-        Err(e) => Err(GraphIoError::Io(e)),
-    };
-    let mut magic = [0u8; 8];
-    read(&mut r, &mut magic, "magic")?;
-    if &magic != BIN_MAGIC {
-        return Err(GraphIoError::BadMagic);
-    }
-    let mut b4 = [0u8; 4];
-    let mut b8 = [0u8; 8];
-    read(&mut r, &mut b4, "node count")?;
-    let n = u32::from_le_bytes(b4);
-    read(&mut r, &mut b8, "edge count")?;
-    let m = u64::from_le_bytes(b8) as usize;
-    let mut flag = [0u8; 1];
-    read(&mut r, &mut flag, "weighted flag")?;
-    let weighted = flag[0] != 0;
-    // A corrupt header can declare an absurd edge count; cap the
-    // preallocation so a short, damaged file cannot demand gigabytes up
-    // front. The vectors still grow to any honest size.
-    let cap = m.min(1 << 20);
-    let mut edges = Vec::with_capacity(cap);
-    let mut weights = weighted.then(|| Vec::with_capacity(cap));
-    for index in 0..m {
-        read(&mut r, &mut b4, "edge source")?;
-        let s = u32::from_le_bytes(b4);
-        read(&mut r, &mut b4, "edge destination")?;
-        let d = u32::from_le_bytes(b4);
-        for node in [s, d] {
-            if node >= n {
-                return Err(GraphIoError::EdgeOutOfRange {
-                    index,
-                    node,
-                    nodes: n,
-                });
-            }
-        }
-        edges.push((s, d));
-        if let Some(ws) = &mut weights {
-            read(&mut r, &mut b4, "edge weight")?;
-            ws.push(u32::from_le_bytes(b4));
-        }
-    }
-    Ok(match weights {
-        Some(ws) => CooGraph::from_weighted_edges(n, edges, ws),
-        None => CooGraph::from_edges(n, edges),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +204,7 @@ mod tests {
     fn bad_line_reports_position() {
         let text = "0 1\nnot an edge\n";
         match read_edge_list(text.as_bytes()) {
-            Err(ParseGraphError::BadLine { line, .. }) => assert_eq!(line, 2),
+            Err(GraphIoError::BadLine { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected BadLine, got {other:?}"),
         }
     }
@@ -335,7 +214,7 @@ mod tests {
         let text = "0 1 5\n1 2\n";
         assert!(matches!(
             read_edge_list(text.as_bytes()),
-            Err(ParseGraphError::MixedWeights)
+            Err(GraphIoError::MixedWeights)
         ));
     }
 
@@ -343,85 +222,7 @@ mod tests {
     fn empty_rejected() {
         assert!(matches!(
             read_edge_list("# nothing\n".as_bytes()),
-            Err(ParseGraphError::Empty)
-        ));
-    }
-
-    #[test]
-    fn binary_round_trip_exact() {
-        for weighted in [false, true] {
-            let mut g = GraphSpec::rmat(8, 4).build(11);
-            if weighted {
-                g = g.with_random_weights(0, 255, 1);
-            }
-            let mut buf = Vec::new();
-            write_binary(&g, &mut buf).unwrap();
-            let back = read_binary(&buf[..]).unwrap();
-            assert_eq!(back, g, "weighted={weighted}");
-        }
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(matches!(
-            read_binary(&b"NOTMAGIC"[..]),
-            Err(GraphIoError::BadMagic)
-        ));
-        let mut buf = Vec::new();
-        write_binary(&GraphSpec::rmat(4, 2).build(1), &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(matches!(
-            read_binary(&buf[..]),
-            Err(GraphIoError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_truncated_header_names_the_missing_field() {
-        // Magic only: dies reading the node count.
-        match read_binary(&BIN_MAGIC[..]) {
-            Err(GraphIoError::Truncated { what }) => assert_eq!(what, "node count"),
-            other => panic!("expected Truncated, got {other:?}"),
-        }
-        // Header but no edge records.
-        let mut buf = Vec::new();
-        write_binary(&GraphSpec::rmat(4, 2).build(1), &mut buf).unwrap();
-        buf.truncate(8 + 4 + 8 + 1);
-        match read_binary(&buf[..]) {
-            Err(GraphIoError::Truncated { what }) => assert_eq!(what, "edge source"),
-            other => panic!("expected Truncated, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_edge_out_of_range_is_reported() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(BIN_MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes()); // 2 nodes
-        buf.extend_from_slice(&1u64.to_le_bytes()); // 1 edge
-        buf.push(0); // unweighted
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&7u32.to_le_bytes()); // dst out of range
-        match read_binary(&buf[..]) {
-            Err(GraphIoError::EdgeOutOfRange { index, node, nodes }) => {
-                assert_eq!((index, node, nodes), (0, 7, 2));
-            }
-            other => panic!("expected EdgeOutOfRange, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn binary_corrupt_edge_count_does_not_preallocate() {
-        // A header claiming u64::MAX edges must fail on truncation, not
-        // abort on an oversized allocation.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(BIN_MAGIC);
-        buf.extend_from_slice(&4u32.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        buf.push(0);
-        assert!(matches!(
-            read_binary(&buf[..]),
-            Err(GraphIoError::Truncated { .. })
+            Err(GraphIoError::Empty)
         ));
     }
 }

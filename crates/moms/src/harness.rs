@@ -112,12 +112,6 @@ impl TraceRun {
         }
     }
 
-    /// Replaces the DRAM timing model.
-    pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
     /// Replays a tagged `(pe, line)` trace — e.g. one recorded from a real
     /// accelerator run via [`MomsSystem::enable_trace`] — preserving each
     /// request's original PE.
@@ -246,24 +240,19 @@ impl TraceRun {
 mod tests {
     use super::*;
     use crate::config::MomsConfig;
-    use crate::system::{default_channel_slrs, default_pe_slrs, Topology};
+    use crate::system::Topology;
 
     fn small(topology: Topology) -> MomsSystemConfig {
-        MomsSystemConfig {
+        MomsSystemConfig::new(
             topology,
-            num_pes: 2,
-            num_channels: 2,
-            shared_banks: 4,
-            shared: MomsConfig::paper_shared_bank()
+            2,
+            2,
+            4,
+            MomsConfig::paper_shared_bank()
                 .scaled(1, 64)
                 .without_cache(),
-            private: MomsConfig::paper_private_bank(false).scaled(1, 64),
-            pe_slr: default_pe_slrs(2),
-            channel_slr: default_channel_slrs(2),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        }
+            MomsConfig::paper_private_bank(false).scaled(1, 64),
+        )
     }
 
     #[test]

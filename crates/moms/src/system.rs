@@ -19,6 +19,8 @@
 //! set in ascending index order, as the full loops did, so arbitration
 //! and results are unchanged. A fully quiet system ticks in O(1).
 
+use std::str::FromStr;
+
 use simkit::trace::{TraceConfig, TraceEvent, Tracer, Track};
 use simkit::{for_each_member, BitSet, Cycle, Fifo, Stats};
 
@@ -53,13 +55,24 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Display name used in experiment tables.
+    /// Stable short name, parsed back by [`FromStr`].
     pub fn name(self) -> &'static str {
         match self {
             Topology::Shared => "shared",
             Topology::Private => "private",
             Topology::TwoLevel => "two-level",
         }
+    }
+}
+
+impl FromStr for Topology {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [Topology::Shared, Topology::Private, Topology::TwoLevel]
+            .into_iter()
+            .find(|t| t.name() == s)
+            .ok_or_else(|| format!("unknown MOMS topology {s:?}"))
     }
 }
 
@@ -93,21 +106,43 @@ pub struct MomsSystemConfig {
 }
 
 impl MomsSystemConfig {
-    /// A paper-like two-level 16 PE / 16 bank configuration on 4 channels.
-    pub fn paper_two_level_16_16() -> Self {
+    /// A configuration on the f1 floorplan: PEs and channels placed by
+    /// [`default_pe_slrs`] and [`default_channel_slrs`], 4 cycles per die
+    /// crossing, 2 between same-die endpoints, and 8 cycles per line on
+    /// the 64-bit shared→private response link.
+    pub fn new(
+        topology: Topology,
+        num_pes: usize,
+        num_channels: usize,
+        shared_banks: usize,
+        shared: MomsConfig,
+        private: MomsConfig,
+    ) -> Self {
         MomsSystemConfig {
-            topology: Topology::TwoLevel,
-            num_pes: 16,
-            num_channels: 4,
-            shared_banks: 16,
-            shared: MomsConfig::paper_shared_bank(),
-            private: MomsConfig::paper_private_bank(false),
-            pe_slr: default_pe_slrs(16),
-            channel_slr: default_channel_slrs(4),
+            topology,
+            num_pes,
+            num_channels,
+            shared_banks,
+            shared,
+            private,
+            pe_slr: default_pe_slrs(num_pes),
+            channel_slr: default_channel_slrs(num_channels),
             crossing_latency: 4,
             base_net_latency: 2,
             resp_link_cycles_per_line: 8,
         }
+    }
+
+    /// A paper-like two-level 16 PE / 16 bank configuration on 4 channels.
+    pub fn paper_two_level_16_16() -> Self {
+        Self::new(
+            Topology::TwoLevel,
+            16,
+            4,
+            16,
+            MomsConfig::paper_shared_bank(),
+            MomsConfig::paper_private_bank(false),
+        )
     }
 
     /// Validates structural invariants.
@@ -1033,19 +1068,14 @@ mod tests {
     }
 
     fn system(topology: Topology, pes: usize, banks: usize, channels: usize) -> MomsSystem {
-        MomsSystem::new(MomsSystemConfig {
+        MomsSystem::new(MomsSystemConfig::new(
             topology,
-            num_pes: pes,
-            num_channels: channels,
-            shared_banks: banks,
-            shared: tiny_bank(false),
-            private: tiny_bank(false),
-            pe_slr: default_pe_slrs(pes),
-            channel_slr: default_channel_slrs(channels),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        })
+            pes,
+            channels,
+            banks,
+            tiny_bank(false),
+            tiny_bank(false),
+        ))
     }
 
     /// Drives until all `expect` responses arrive; returns (cycles, ids per pe).

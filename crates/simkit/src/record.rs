@@ -8,10 +8,10 @@
 //!
 //! # Formats
 //!
-//! * **JSON** ([`write_json`]): an array of objects, one per record. Lists
+//! * **JSON** ([`to_json`]): an array of objects, one per record. Lists
 //!   (e.g. per-channel bandwidth) serialize as JSON arrays. Non-finite
 //!   floats serialize as `null` (JSON has no NaN/Infinity).
-//! * **CSV** ([`write_csv`]): a header row from the first record's field
+//! * **CSV** ([`to_csv`]): a header row from the first record's field
 //!   names, then one line per record. Lists are joined with `;` inside a
 //!   single cell. Fields containing `,`, `"`, or newlines are quoted per
 //!   RFC 4180.
@@ -30,7 +30,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::io::{self, Write};
 
 /// A scalar or list value inside a [`Record`].
 #[derive(Debug, Clone, PartialEq)]
@@ -157,7 +156,7 @@ impl Value {
         }
     }
 
-    /// Render as a CSV cell (unquoted; [`write_csv`] adds quoting).
+    /// Render as a CSV cell (unquoted; [`to_csv`] adds quoting).
     fn to_csv_cell(&self) -> String {
         match self {
             Value::Null => String::new(),
@@ -252,16 +251,6 @@ fn csv_quote(cell: &str) -> String {
     } else {
         cell.to_string()
     }
-}
-
-/// Write records to `w` as JSON.
-pub fn write_json<R: Record, W: Write>(w: &mut W, records: &[R]) -> io::Result<()> {
-    w.write_all(to_json(records).as_bytes())
-}
-
-/// Write records to `w` as CSV.
-pub fn write_csv<R: Record, W: Write>(w: &mut W, records: &[R]) -> io::Result<()> {
-    w.write_all(to_csv(records).as_bytes())
 }
 
 /// Output format selector shared by every exporting subcommand.

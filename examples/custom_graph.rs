@@ -58,7 +58,7 @@ fn main() -> Result<(), RunError> {
         "simulated {} cycles over {} iterations; {:.3} GTEPS at 200 MHz",
         result.cycles,
         result.iterations,
-        result.gteps_at(200.0)
+        result.gteps(200.0)
     );
 
     // And a PageRank pass on the directed graph.

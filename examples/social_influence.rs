@@ -12,7 +12,7 @@
 //! ```
 
 use algos::Algorithm;
-use bench::{run_graph_outcome, ArchPoint, EngineConfig, RunFailure, RunSpec};
+use bench::{run_graph_outcome, ArchPoint, EngineConfig, PointSpec, RunFailure};
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 
@@ -46,11 +46,9 @@ fn main() -> Result<(), RunFailure> {
         ArchPoint::ALL[2],            // private-only MOMS
         ArchPoint::ALL[6],            // traditional nonblocking cache
     ] {
-        let mut spec = RunSpec::new(arch);
-        spec.shrink = 16;
-        spec.max_iterations = Some(2); // steady-state throughput
-        let (row, _, _) =
-            run_graph_outcome(&g, bench.tag(), algo, &spec, &EngineConfig::default())?;
+        let mut point = PointSpec::new(bench, algo, arch, 4, 16);
+        point.run.max_iterations = Some(2); // steady-state throughput
+        let (row, _, _) = run_graph_outcome(&g, &point, &EngineConfig::default())?;
         println!(
             "{:<16} {:>10.3} {:>12} {:>14} {:>9.1}%",
             row.arch,

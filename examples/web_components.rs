@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use algos::{golden, Algorithm};
-use bench::{run_graph_outcome, ArchPoint, EngineConfig, RunFailure, RunSpec};
+use bench::{run_graph_outcome, ArchPoint, EngineConfig, PointSpec, RunFailure};
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::{self, Preprocess};
 
@@ -37,11 +37,9 @@ fn main() -> Result<(), RunFailure> {
     );
     for pre in Preprocess::ALL {
         let (g, _) = reorder::apply(&base, pre, 16, 7);
-        let mut spec = RunSpec::new(ArchPoint::two_level_16_16());
-        spec.shrink = 16;
-        spec.pre = pre;
-        let (row, _, _) =
-            run_graph_outcome(&g, bench.tag(), algo, &spec, &EngineConfig::default())?;
+        let mut point = PointSpec::new(bench, algo, ArchPoint::two_level_16_16(), 4, 16);
+        point.pre = pre;
+        let (row, _, _) = run_graph_outcome(&g, &point, &EngineConfig::default())?;
         println!(
             "{:<10} {:>10.3} {:>12} {:>14}",
             pre.name(),

@@ -26,7 +26,6 @@ use std::fmt::Write as _;
 use accel::{Fabric, LinkTopology, System};
 use algos::Algorithm;
 use bench::experiments::Scope;
-use bench::RunSpec;
 use graph::benchmarks::BenchmarkId;
 use graph::reorder::Preprocess;
 
@@ -73,10 +72,8 @@ fn render_table() -> String {
             let g =
                 bench::prepare_graph(bench, Preprocess::DbgHash, PIN_SHRINK, algo.is_weighted());
             for arch in scope.archs() {
-                let mut spec = RunSpec::new(arch);
-                spec.shrink = PIN_SHRINK;
-                spec.max_iterations = iters;
-                let rc = spec.run_config();
+                let mut rc = arch.run_config(4, PIN_SHRINK);
+                rc.max_iterations = iters;
                 let (cfg, partitioner) = rc.build();
                 let result = System::new(&g, partitioner, algo, cfg)
                     .run_to_outcome(None)
@@ -128,10 +125,8 @@ fn render_fabric_table() -> String {
     let mut out = String::new();
     for (algo, iters) in [(Algorithm::bfs(0), None), (Algorithm::pagerank(), Some(2))] {
         for (devices, topology) in fabric_configs() {
-            let mut spec = RunSpec::new(arch);
-            spec.shrink = PIN_SHRINK;
-            spec.max_iterations = iters;
-            let mut rc = spec.run_config();
+            let mut rc = arch.run_config(4, PIN_SHRINK);
+            rc.max_iterations = iters;
             rc.devices = devices;
             rc.link.topology = topology;
             rc.sim_threads = 1;

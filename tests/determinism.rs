@@ -21,7 +21,7 @@ use accel::{Driver, ExecutionMode, Fabric, RunConfig, RunError, RunResult, Syste
 use algos::Algorithm;
 use bench::engine::{run_points, EngineConfig, Outcome, PointSpec};
 use bench::experiments::{fig12, Scope};
-use bench::{ArchPoint, RunSpec};
+use bench::ArchPoint;
 use graph::benchmarks::BenchmarkId;
 use graph::{CooGraph, GraphSpec, Partitioner};
 use simkit::record::{to_csv, to_json};
@@ -35,14 +35,9 @@ fn engine_points() -> Vec<PointSpec> {
     let mut points = Vec::new();
     for arch in [ArchPoint::QUICK[2], ArchPoint::QUICK[3]] {
         for (algo, iters) in [(Algorithm::Scc, None), (Algorithm::pagerank(), Some(2))] {
-            let mut spec = RunSpec::new(arch);
-            spec.shrink = 16;
-            spec.max_iterations = iters;
-            points.push(PointSpec {
-                bench: BenchmarkId::Wt,
-                algo,
-                spec,
-            });
+            let mut point = PointSpec::new(BenchmarkId::Wt, algo, arch, 4, 16);
+            point.run.max_iterations = iters;
+            points.push(point);
         }
     }
     points

@@ -4,38 +4,25 @@
 
 use accel::{PeConfig, System, SystemConfig};
 use algos::{golden, Algorithm};
-use dram::DramConfig;
 use graph::reorder::{self, Preprocess};
 use graph::{CooGraph, GraphSpec, Partitioner};
 use moms::{MomsConfig, MomsSystemConfig, Topology};
 
 fn config(topology: Topology, pes: usize, channels: usize) -> SystemConfig {
     SystemConfig {
-        dram: DramConfig::default(),
-        moms: MomsSystemConfig {
+        moms: MomsSystemConfig::new(
             topology,
-            num_pes: pes,
-            num_channels: channels,
-            shared_banks: 4 * channels.max(1),
-            shared: MomsConfig::paper_shared_bank().scaled(1, 32),
-            private: MomsConfig::paper_private_bank(false).scaled(1, 32),
-            pe_slr: moms::system::default_pe_slrs(pes),
-            channel_slr: moms::system::default_channel_slrs(channels),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        },
+            pes,
+            channels,
+            4 * channels.max(1),
+            MomsConfig::paper_shared_bank().scaled(1, 32),
+            MomsConfig::paper_private_bank(false).scaled(1, 32),
+        ),
         pe: PeConfig {
             bram_nodes: 512,
             ..PeConfig::default()
         },
-        max_iterations: None,
-        execution: accel::ExecutionMode::AlgorithmDefault,
-        moms_trace_cap: 0,
-        fault: simkit::FaultConfig::none(),
-        trace: simkit::TraceConfig::default(),
-        watchdog_cycles: Some(accel::DEFAULT_WATCHDOG_CYCLES),
-        idle_skip: true,
+        ..SystemConfig::small()
     }
 }
 

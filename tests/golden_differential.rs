@@ -13,7 +13,7 @@
 
 use accel::System;
 use algos::{golden, Algorithm};
-use bench::{ArchPoint, RunSpec};
+use bench::ArchPoint;
 use graph::{CooGraph, GraphSpec};
 
 /// Unweighted graph exercising skewed degrees across several intervals.
@@ -34,9 +34,7 @@ fn weighted_graph() -> CooGraph {
 /// preserving the architecture's shape (topology, PE count, bank count,
 /// cache arrays, MSHR organisation).
 fn run_values(g: &CooGraph, algo: Algorithm, arch: ArchPoint) -> Vec<u32> {
-    let mut spec = RunSpec::new(arch);
-    spec.shrink = 32;
-    let (cfg, partitioner) = spec.run_config().build();
+    let (cfg, partitioner) = arch.run_config(4, 32).build();
     System::new(g, partitioner, algo, cfg)
         .run_to_outcome(None)
         .unwrap()

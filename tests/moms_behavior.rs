@@ -15,21 +15,16 @@ use moms::{CacheConfig, MomsConfig, MomsReq, MomsSystem, MomsSystemConfig, Topol
 use simkit::SplitMix64;
 
 fn moms_config(topology: Topology, pes: usize, channels: usize) -> MomsSystemConfig {
-    MomsSystemConfig {
+    MomsSystemConfig::new(
         topology,
-        num_pes: pes,
-        num_channels: channels,
-        shared_banks: 4 * channels,
-        shared: MomsConfig::paper_shared_bank()
+        pes,
+        channels,
+        4 * channels,
+        MomsConfig::paper_shared_bank()
             .scaled(1, 32)
             .without_cache(),
-        private: MomsConfig::paper_private_bank(false).scaled(1, 32),
-        pe_slr: moms::system::default_pe_slrs(pes),
-        channel_slr: moms::system::default_channel_slrs(channels),
-        crossing_latency: 4,
-        base_net_latency: 2,
-        resp_link_cycles_per_line: 8,
-    }
+        MomsConfig::paper_private_bank(false).scaled(1, 32),
+    )
 }
 
 /// Shard-shaped request stream: edge streaming reads sources within one

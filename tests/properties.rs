@@ -9,7 +9,6 @@ use simkit::SplitMix64;
 
 use accel::{PeConfig, System, SystemConfig};
 use algos::{golden, Algorithm};
-use dram::DramConfig;
 use graph::layout::{EdgePointer, LayoutBuilder, LayoutInit};
 use graph::partition::{CompressedEdge, DeviceMap};
 use graph::{CooGraph, Partitioner};
@@ -34,33 +33,21 @@ fn random_graph(rng: &mut SplitMix64, max_nodes: u32, max_edges: usize) -> CooGr
 
 fn small_config() -> SystemConfig {
     SystemConfig {
-        dram: DramConfig::default(),
-        moms: MomsSystemConfig {
-            topology: Topology::TwoLevel,
-            num_pes: 2,
-            num_channels: 2,
-            shared_banks: 4,
-            shared: MomsConfig::paper_shared_bank()
+        moms: MomsSystemConfig::new(
+            Topology::TwoLevel,
+            2,
+            2,
+            4,
+            MomsConfig::paper_shared_bank()
                 .scaled(1, 64)
                 .without_cache(),
-            private: MomsConfig::paper_private_bank(false).scaled(1, 64),
-            pe_slr: moms::system::default_pe_slrs(2),
-            channel_slr: moms::system::default_channel_slrs(2),
-            crossing_latency: 4,
-            base_net_latency: 2,
-            resp_link_cycles_per_line: 8,
-        },
+            MomsConfig::paper_private_bank(false).scaled(1, 64),
+        ),
         pe: PeConfig {
             bram_nodes: 256,
             ..PeConfig::default()
         },
-        max_iterations: None,
-        execution: accel::ExecutionMode::AlgorithmDefault,
-        moms_trace_cap: 0,
-        fault: simkit::FaultConfig::none(),
-        trace: simkit::TraceConfig::default(),
-        watchdog_cycles: Some(accel::DEFAULT_WATCHDOG_CYCLES),
-        idle_skip: true,
+        ..SystemConfig::small()
     }
 }
 

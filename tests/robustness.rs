@@ -18,7 +18,7 @@
 use accel::{RunError, System, SystemConfig};
 use algos::{golden, Algorithm};
 use bench::engine::{run_points, EngineConfig, Outcome, PointSpec};
-use bench::{ArchPoint, RunSpec};
+use bench::ArchPoint;
 use graph::benchmarks::BenchmarkId;
 use graph::{CooGraph, GraphSpec, Partitioner};
 use moms::{MomsBank, MomsConfig, MomsReq};
@@ -181,18 +181,10 @@ fn stall_error_renders_diagnostic() {
 #[test]
 fn sweep_continues_past_panicking_point() {
     let arch = ArchPoint::two_level_16_16();
-    let good = |bench| {
-        let mut spec = RunSpec::new(arch);
-        spec.shrink = 64;
-        PointSpec {
-            bench,
-            algo: Algorithm::Scc,
-            spec,
-        }
-    };
+    let good = |bench| PointSpec::new(bench, Algorithm::Scc, arch, 4, 64);
     let mut bad = good(BenchmarkId::Wt);
     // Zero channels fails MomsSystemConfig validation inside the worker.
-    bad.spec.channels = 0;
+    bad.run.moms.num_channels = 0;
     let points = vec![good(BenchmarkId::Wt), bad, good(BenchmarkId::R24)];
     let results = run_points(
         &points,
